@@ -14,6 +14,7 @@
 #include "common/huffman.h"
 #include "core/bitflip.h"
 #include "models/model_zoo.h"
+#include "nn/activation_memo.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "quant/quantized_model.h"
@@ -363,6 +364,63 @@ void BM_QuantizedForwardResNetTiny(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuantizedForwardResNetTiny);
+
+// Bit-flip proposal validation (Algorithm 3): one incremental Recompute per
+// quantized tensor, averaged over all tensors of the model, vs a full eval
+// forward on the same rows. Arg = model: 0 OmniScaleCNN (32x3x32),
+// 1 InceptionTime (64x9x64), 2 ResNetTiny (32x3x16x16), 3 VggTiny
+// (32x3x16x16). Time per proposal / full-forward time is the mean
+// per-proposal cost ratio of README "Incremental proposal validation".
+struct ProposalCase {
+  std::unique_ptr<Sequential> model;
+  Tensor x;
+};
+
+ProposalCase MakeProposalCase(int64_t which, Rng* rng) {
+  switch (which) {
+    case 0:
+      return {MakeOmniScaleCnn(3, 8, rng), Tensor::Randn({32, 3, 32}, rng)};
+    case 1:
+      return {MakeInceptionTime(9, 19, rng), Tensor::Randn({64, 9, 64}, rng)};
+    case 2:
+      return {MakeResNetTiny(3, 10, rng),
+              Tensor::Randn({32, 3, 16, 16}, rng)};
+    default:
+      return {MakeVggTiny(3, 16, 16, 10, rng),
+              Tensor::Randn({32, 3, 16, 16}, rng)};
+  }
+}
+
+void BM_ProposalFullForward(benchmark::State& state) {
+  Rng rng(5);
+  ProposalCase c = MakeProposalCase(state.range(0), &rng);
+  QuantizedModel qm(*c.model, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(qm.Forward(c.x));
+  }
+}
+BENCHMARK(BM_ProposalFullForward)->DenseRange(0, 3);
+
+void BM_ProposalRecompute(benchmark::State& state) {
+  Rng rng(5);
+  ProposalCase c = MakeProposalCase(state.range(0), &rng);
+  QuantizedModel qm(*c.model, 4);
+  std::vector<const Layer*> editable;
+  for (int t = 0; t < qm.num_quantized(); ++t) {
+    editable.push_back(qm.quantized(t).owner);
+  }
+  ActivationMemo memo;
+  (void)memo.Record(qm.model(), editable, c.x);
+  for (auto _ : state) {
+    for (const Layer* owner : editable) {
+      benchmark::DoNotOptimize(memo.Recompute(c.x, owner));
+      memo.Reject();
+    }
+  }
+  // One item per proposal: 1 / items_per_second is the time of one.
+  state.SetItemsProcessed(state.iterations() * qm.num_quantized());
+}
+BENCHMARK(BM_ProposalRecompute)->DenseRange(0, 3);
 
 }  // namespace
 }  // namespace qcore

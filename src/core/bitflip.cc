@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "nn/activation_memo.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "nn/layers.h"
@@ -279,32 +280,26 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 
 namespace {
 
-// Cross-entropy of the model on (x, labels), inference only.
-float InferenceLoss(QuantizedModel* qm, const Tensor& x,
-                    const std::vector<int>& labels) {
-  SoftmaxCrossEntropy ce;
-  Tensor logits = qm->model()->Forward(x, /*training=*/false);
-  return ce.Forward(logits, labels);
-}
-
-}  // namespace
-
-namespace {
-
 // Applies one proposal (element -> delta) to tensor t, validates it with an
-// inference pass, and reverts on failure. Returns the (possibly updated)
-// loss.
+// inference pass that recomputes only what the owner layer of t can reach,
+// and reverts on failure. Returns the (possibly updated) loss.
 float TryProposal(QuantizedModel* qm, int t,
                   const std::vector<std::pair<int64_t, int>>& proposal,
                   float current_loss, const Tensor& x,
-                  const std::vector<int>& labels) {
+                  const std::vector<int>& labels, ActivationMemo* memo) {
   if (proposal.empty()) return current_loss;
   const std::vector<int32_t> saved_codes = qm->quantized(t).codes;
   for (const auto& [e, delta] : proposal) {
     qm->ApplyCodeDelta(t, e, delta);
   }
-  const float trial_loss = InferenceLoss(qm, x, labels);
-  if (trial_loss < current_loss) return trial_loss;
+  SoftmaxCrossEntropy ce;
+  const float trial_loss =
+      ce.Forward(memo->Recompute(x, qm->quantized(t).owner), labels);
+  if (trial_loss < current_loss) {
+    memo->Accept();
+    return trial_loss;
+  }
+  memo->Reject();
   qm->quantized(t).codes = saved_codes;
   qm->SyncParamFromCodes(t);
   return current_loss;
@@ -336,7 +331,19 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
   }
   const Tensor& eval_x = trial_x;
   const std::vector<int>& eval_labels = trial_labels;
-  float current_loss = InferenceLoss(qm, eval_x, eval_labels);
+  // Every proposal changes the codes of one leaf layer, so its validation
+  // pass reuses all activations that leaf cannot reach. The memo is per
+  // thread, not per model: its buffers are reused across proposals, calls
+  // and sessions, and their footprint scales with the threads calibrating,
+  // not with the number of models.
+  thread_local ActivationMemo memo;
+  std::vector<const Layer*> editable;
+  for (int t = 0; t < qm->num_quantized(); ++t) {
+    editable.push_back(qm->quantized(t).owner);
+  }
+  SoftmaxCrossEntropy ce;
+  float current_loss =
+      ce.Forward(memo.Record(qm->model(), editable, eval_x), eval_labels);
   for (int t = 0; t < qm->num_quantized(); ++t) {
     const auto& qt = qm->quantized(t);
     const int64_t num_elements = static_cast<int64_t>(qt.codes.size());
@@ -380,8 +387,8 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
               {candidates[i],
                step * deltas[static_cast<size_t>(candidates[i])]});
         }
-        current_loss =
-            TryProposal(qm, t, proposal, current_loss, eval_x, eval_labels);
+        current_loss = TryProposal(qm, t, proposal, current_loss, eval_x,
+                                   eval_labels, &memo);
       }
     }
 
@@ -398,8 +405,8 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
       for (int e : pick) {
         proposal.push_back({e, explore_rng.NextBool(0.5) ? step : -step});
       }
-      current_loss =
-          TryProposal(qm, t, proposal, current_loss, eval_x, eval_labels);
+      current_loss = TryProposal(qm, t, proposal, current_loss, eval_x,
+                                 eval_labels, &memo);
     }
   }
   return current_loss;

@@ -106,7 +106,10 @@ BitFlipNet TrainBitFlipNet(QuantizedModel* qm, const Dataset& qcore,
 // are available per Sec. 2.1.3) and reverted if it does not reduce the
 // cross-entropy — "the process undergoes few iterations to ensure model
 // stability" (Sec. 3.3.3). Everything here is inference; no gradients are
-// ever computed.
+// ever computed. A proposal changes one leaf layer, so its validation pass
+// recomputes only what that layer reaches and reuses every other activation
+// of the round (nn/activation_memo.h); the loss is bit-identical to a full
+// forward.
 struct BitFlipCalibrateOptions {
   int iterations = 3;                 // E in Algorithm 3 (converges fast)
   float confidence_threshold = 0.5f;  // only act on confident predictions

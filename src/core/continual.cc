@@ -54,7 +54,7 @@ BatchStats ContinualDriver::ProcessBatch(const Dataset& batch,
   if (options_.use_qcore_update) {
     Dataset updated =
         ResampleQCore(pool, tracker.misses(0), qcore_.size(), rng_);
-    stats.qcore_changed = updated.size();
+    stats.qcore_changed = CountReplaced(qcore_, updated);
     qcore_ = std::move(updated);
   }
   stats.calibration_seconds = watch.ElapsedSeconds();

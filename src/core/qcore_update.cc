@@ -1,6 +1,9 @@
 #include "core/qcore_update.h"
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "core/quant_miss.h"
 #include "nn/training.h"
@@ -38,6 +41,30 @@ Dataset ResampleQCore(const Dataset& pool, const std::vector<int>& misses,
     indices.push_back(rng->NextInt(0, pool.size() - 1));
   }
   return pool.Subset(indices);
+}
+
+int CountReplaced(const Dataset& before, const Dataset& after) {
+  // Key: (label, row bytes), so rows compare bit for bit.
+  auto key = [](const Dataset& d, int i) {
+    const int64_t row = d.x().size() / d.size();
+    const char* bytes =
+        reinterpret_cast<const char*>(d.x().data() + i * row);
+    return std::make_pair(d.labels()[static_cast<size_t>(i)],
+                          std::string(bytes, static_cast<size_t>(row) *
+                                                 sizeof(float)));
+  };
+  std::map<std::pair<int, std::string>, int> held;
+  for (int i = 0; i < before.size(); ++i) ++held[key(before, i)];
+  int replaced = 0;
+  for (int i = 0; i < after.size(); ++i) {
+    auto it = held.find(key(after, i));
+    if (it != held.end() && it->second > 0) {
+      --it->second;
+    } else {
+      ++replaced;
+    }
+  }
+  return replaced;
 }
 
 Dataset UpdateQCore(QuantizedModel* qm, const Dataset& qcore,

@@ -23,6 +23,11 @@ Dataset MakeUpdatePool(const Dataset& qcore, const Dataset& batch, Rng* rng);
 Dataset ResampleQCore(const Dataset& pool, const std::vector<int>& misses,
                       int size, Rng* rng);
 
+// Examples of `after` that `before` does not hold: the size of the multiset
+// difference after - before, matching examples by (row bytes, label). A
+// resample that keeps k of the old examples replaces after.size() - k.
+int CountReplaced(const Dataset& before, const Dataset& after);
+
 // Standalone Algorithm 4 (no bit-flip interleaving): runs `epochs` inference
 // passes of `qm` over the pool, counting quantization misses, and resamples
 // a QCore of qcore.size(). The continual driver uses the interleaved form;

@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/serialize.h"
 #include "tensor/tensor_ops.h"
@@ -84,28 +85,37 @@ Result<Dataset> Dataset::DeserializeFrom(BinaryReader* r) {
   if (!count.ok()) return count.status();
   auto shape = r->ReadInt64s();
   if (!shape.ok()) return shape.status();
+  const Status inconsistent =
+      Status::Corruption("dataset record is internally inconsistent");
   if (count.value() == 0) {
-    // Two empty flavors round-trip: the default dataset (no tensor, class
-    // count 0) and a zero-row dataset that still carries its shape and
-    // class count (e.g. an exhausted stream slice).
+    // The default (empty) dataset: a tensor cannot have zero rows, so an
+    // empty record carrying a row shape and classes is never written.
     if (shape.value().empty() || classes.value() <= 0) return Dataset();
-    if (shape.value()[0] != 0) {
-      return Status::Corruption("dataset record is internally inconsistent");
+    return inconsistent;
+  }
+  if (classes.value() <= 0 || shape.value().empty() ||
+      shape.value()[0] != static_cast<int64_t>(count.value())) {
+    return inconsistent;
+  }
+  // Every dim positive and the element count representable: the Tensor and
+  // Dataset constructors abort on anything else.
+  int64_t elements = 1;
+  for (int64_t d : shape.value()) {
+    if (d <= 0 || elements > std::numeric_limits<int64_t>::max() / d) {
+      return inconsistent;
     }
-    return Dataset(Tensor::FromVector(std::move(shape).value(), {}), {},
-                   classes.value());
+    elements *= d;
   }
   auto values = r->ReadFloats();
   if (!values.ok()) return values.status();
   auto labels = r->ReadInts();
   if (!labels.ok()) return labels.status();
-  int64_t elements = 1;
-  for (int64_t d : shape.value()) elements *= d;
-  if (shape.value().empty() ||
-      shape.value()[0] != static_cast<int64_t>(count.value()) ||
-      labels.value().size() != static_cast<size_t>(count.value()) ||
-      values.value().size() != static_cast<size_t>(elements)) {
-    return Status::Corruption("dataset record is internally inconsistent");
+  if (labels.value().size() != static_cast<size_t>(count.value()) ||
+      values.value().size() != static_cast<uint64_t>(elements)) {
+    return inconsistent;
+  }
+  for (int32_t y : labels.value()) {
+    if (y < 0 || y >= classes.value()) return inconsistent;
   }
   Tensor x = Tensor::FromVector(std::move(shape).value(),
                                 std::move(values).value());

@@ -1,5 +1,6 @@
 #include "nn/composite.h"
 
+#include "nn/activation_memo.h"
 #include "tensor/tensor_ops.h"
 
 namespace qcore {
@@ -17,6 +18,27 @@ Sequential& Sequential::Add(std::unique_ptr<Layer> layer) {
 Tensor Sequential::Forward(const Tensor& x, bool training) {
   Tensor h = x;
   for (auto& layer : layers_) h = layer->Forward(h, training);
+  return h;
+}
+
+Tensor Sequential::MemoForward(const Tensor& x, ActivationMemo* memo) {
+  // On the dirty path the children before the dirty one are unchanged:
+  // resume from the dirty child's memoised input. Slot j holds the input of
+  // child j (j > 0).
+  size_t first = 0;
+  if (memo->OnDirtyPath(this)) {
+    while (!memo->OnDirtyPath(layers_[first].get())) ++first;
+  }
+  const Tensor* in =
+      first == 0 ? &x : &memo->Get(this, static_cast<int>(first));
+  Tensor h;
+  for (size_t j = first; j < layers_.size(); ++j) {
+    if (j > first && memo->Editable(layers_[j].get())) {
+      memo->Put(this, static_cast<int>(j), h);
+    }
+    h = layers_[j]->MemoForward(*in, memo);
+    in = &h;
+  }
   return h;
 }
 
@@ -64,13 +86,36 @@ Residual::Residual(std::unique_ptr<Layer> body,
   QCORE_CHECK(body_ != nullptr);
 }
 
-Tensor Residual::Forward(const Tensor& x, bool training) {
-  Tensor main = body_->Forward(x, training);
-  Tensor skip = shortcut_ ? shortcut_->Forward(x, training) : x;
+Tensor Residual::AddSkip(Tensor main, const Tensor& skip) {
   QCORE_CHECK_MSG(main.SameShape(skip),
                   "residual body/shortcut shape mismatch");
   AddInPlace(&main, skip);
   return main;
+}
+
+Tensor Residual::Forward(const Tensor& x, bool training) {
+  Tensor main = body_->Forward(x, training);
+  if (!shortcut_) return AddSkip(std::move(main), x);
+  return AddSkip(std::move(main), shortcut_->Forward(x, training));
+}
+
+Tensor Residual::MemoForward(const Tensor& x, ActivationMemo* memo) {
+  // On the dirty path only the dirty side is recomputed; the other side's
+  // output is memoised (slot 0: body, slot 1: projection shortcut).
+  const bool body_dirty = memo->OnDirtyPath(body_.get());
+  const bool shortcut_dirty = shortcut_ && memo->OnDirtyPath(shortcut_.get());
+  Tensor main;
+  if (shortcut_dirty) {
+    main = memo->Get(this, 0);
+  } else {
+    main = body_->MemoForward(x, memo);
+    if (shortcut_ && memo->Editable(shortcut_.get())) memo->Put(this, 0, main);
+  }
+  if (!shortcut_) return AddSkip(std::move(main), x);
+  if (body_dirty) return AddSkip(std::move(main), memo->Get(this, 1));
+  Tensor skip = shortcut_->MemoForward(x, memo);
+  if (memo->Editable(body_.get())) memo->Put(this, 1, skip);
+  return AddSkip(std::move(main), skip);
 }
 
 Tensor Residual::Backward(const Tensor& grad_out) {
@@ -117,13 +162,40 @@ ParallelConcat::ParallelConcat(std::vector<std::unique_ptr<Layer>> branches)
 Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
   std::vector<Tensor> outs;
   outs.reserve(branches_.size());
+  for (auto& branch : branches_) outs.push_back(branch->Forward(x, training));
+  return Concat(outs);
+}
+
+Tensor ParallelConcat::MemoForward(const Tensor& x, ActivationMemo* memo) {
+  // On the dirty path only the dirty branch is recomputed and patched into
+  // the memoised concatenation (slot 0).
+  Tensor out;
+  if (memo->OnDirtyPath(this)) {
+    out = memo->Get(this, 0);
+    for (size_t b = 0; b < branches_.size(); ++b) {
+      if (memo->OnDirtyPath(branches_[b].get())) {
+        CopyBranch(b, branches_[b]->MemoForward(x, memo), &out);
+      }
+    }
+  } else {
+    std::vector<Tensor> outs;
+    outs.reserve(branches_.size());
+    for (auto& branch : branches_) {
+      outs.push_back(branch->MemoForward(x, memo));
+    }
+    out = Concat(outs);
+  }
+  if (memo->Editable(this)) memo->Put(this, 0, out);
+  return out;
+}
+
+Tensor ParallelConcat::Concat(const std::vector<Tensor>& outs) {
   branch_channels_.clear();
   int64_t total_channels = 0;
-  for (auto& branch : branches_) {
-    outs.push_back(branch->Forward(x, training));
-    QCORE_CHECK_GE(outs.back().ndim(), 3);
-    branch_channels_.push_back(outs.back().dim(1));
-    total_channels += outs.back().dim(1);
+  for (const Tensor& o : outs) {
+    QCORE_CHECK_GE(o.ndim(), 3);
+    branch_channels_.push_back(o.dim(1));
+    total_channels += o.dim(1);
   }
   // Validate non-channel axes agree.
   for (size_t b = 1; b < outs.size(); ++b) {
@@ -137,22 +209,26 @@ Tensor ParallelConcat::Forward(const Tensor& x, bool training) {
   std::vector<int64_t> out_shape = outs[0].shape();
   out_shape[1] = total_channels;
   Tensor out(out_shape);
-  const int64_t n = out_shape[0];
-  int64_t spatial = 1;
-  for (size_t d = 2; d < out_shape.size(); ++d) spatial *= out_shape[d];
-
-  float* po = out.data();
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t ch_off = 0;
-    for (size_t b = 0; b < outs.size(); ++b) {
-      const int64_t bc = branch_channels_[b];
-      const float* src = outs[b].data() + i * bc * spatial;
-      float* dst = po + (i * total_channels + ch_off) * spatial;
-      std::copy(src, src + bc * spatial, dst);
-      ch_off += bc;
-    }
-  }
+  for (size_t b = 0; b < outs.size(); ++b) CopyBranch(b, outs[b], &out);
   return out;
+}
+
+void ParallelConcat::CopyBranch(size_t b, const Tensor& branch_out,
+                                Tensor* out) const {
+  int64_t ch_off = 0;
+  for (size_t i = 0; i < b; ++i) ch_off += branch_channels_[i];
+  const int64_t bc = branch_channels_[b];
+  const int64_t total_channels = out->dim(1);
+  QCORE_CHECK_EQ(branch_out.dim(1), bc);
+  QCORE_CHECK_EQ(branch_out.size(), out->size() / total_channels * bc);
+  const int64_t n = out->dim(0);
+  const int64_t spatial = out->size() / (n * total_channels);
+  const float* src = branch_out.data();
+  float* po = out->data();
+  for (int64_t i = 0; i < n; ++i) {
+    std::copy(src + i * bc * spatial, src + (i + 1) * bc * spatial,
+              po + (i * total_channels + ch_off) * spatial);
+  }
 }
 
 Tensor ParallelConcat::Backward(const Tensor& grad_out) {

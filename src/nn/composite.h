@@ -20,6 +20,7 @@ class Sequential : public Layer {
   Sequential& Add(std::unique_ptr<Layer> layer);
 
   Tensor Forward(const Tensor& x, bool training) override;
+  Tensor MemoForward(const Tensor& x, ActivationMemo* memo) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Parameter*> Params() override;
   std::vector<Tensor*> Buffers() override;
@@ -47,6 +48,7 @@ class Residual : public Layer {
   Residual(std::unique_ptr<Layer> body, std::unique_ptr<Layer> shortcut);
 
   Tensor Forward(const Tensor& x, bool training) override;
+  Tensor MemoForward(const Tensor& x, ActivationMemo* memo) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Parameter*> Params() override;
   std::vector<Tensor*> Buffers() override;
@@ -58,6 +60,9 @@ class Residual : public Layer {
   }
 
  private:
+  // main + skip, the combine step of Forward and MemoForward.
+  static Tensor AddSkip(Tensor main, const Tensor& skip);
+
   std::unique_ptr<Layer> body_;
   std::unique_ptr<Layer> shortcut_;  // may be null
 };
@@ -70,6 +75,7 @@ class ParallelConcat : public Layer {
   explicit ParallelConcat(std::vector<std::unique_ptr<Layer>> branches);
 
   Tensor Forward(const Tensor& x, bool training) override;
+  Tensor MemoForward(const Tensor& x, ActivationMemo* memo) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Parameter*> Params() override;
   std::vector<Tensor*> Buffers() override;
@@ -80,6 +86,12 @@ class ParallelConcat : public Layer {
   }
 
  private:
+  // Concatenates branch outputs along the channel axis (the combine step
+  // of Forward and MemoForward); records branch_channels_.
+  Tensor Concat(const std::vector<Tensor>& outs);
+  // Copies branch `b`'s output into its channel range of `out`.
+  void CopyBranch(size_t b, const Tensor& branch_out, Tensor* out) const;
+
   std::vector<std::unique_ptr<Layer>> branches_;
   std::vector<int64_t> branch_channels_;  // channels of each branch output
 };

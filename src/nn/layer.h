@@ -16,6 +16,8 @@
 
 namespace qcore {
 
+class ActivationMemo;  // nn/activation_memo.h
+
 // A learnable tensor with its gradient accumulator.
 struct Parameter {
   std::string name;
@@ -55,6 +57,15 @@ class Layer {
 
   // Diagnostic name, e.g. "conv1d(8->16,k=3)".
   virtual std::string name() const = 0;
+
+  // Eval-mode forward that reuses the activations held by `memo` (see
+  // nn/activation_memo.h); bit-identical to Forward(x, false). Composites
+  // override it to skip the children a parameter change cannot reach.
+  // A leaf has nothing to reuse.
+  virtual Tensor MemoForward(const Tensor& x, ActivationMemo* memo) {
+    (void)memo;
+    return Forward(x, /*training=*/false);
+  }
 
   // Invokes `fn` on each direct child (composites only; leaves are no-ops).
   virtual void ForEachChild(const std::function<void(Layer*)>& fn) {

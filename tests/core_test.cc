@@ -3,17 +3,20 @@
 // synthetic problems to keep runtimes in seconds.
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "core/bitflip.h"
 #include "core/continual.h"
 #include "core/pipeline.h"
 #include "core/qcore_builder.h"
 #include "core/qcore_update.h"
 #include "data/har_generator.h"
+#include "data/image_generator.h"
 #include "models/model_zoo.h"
 #include "nn/batchnorm.h"
 #include "nn/loss.h"
 #include "nn/training.h"
 #include "quant/ste_calibrator.h"
+#include "tensor/kernels.h"
 
 namespace qcore {
 namespace {
@@ -353,6 +356,124 @@ TEST(ContinualDriverTest, RunStreamReportsPerBatchStats) {
     EXPECT_GT(s.calibration_seconds, 0.0);
   }
   EXPECT_GE(AverageAccuracy(stats), 0.0f);
+}
+
+// Golden digests of the continual loop on every zoo model at 2, 4 and 8
+// bits: the code tables, the per-step test loss and accuracy, and the Rng
+// state after a few ContinualDriver steps. They pin the calibration
+// trajectory bit for bit, so a change to how proposals are validated (or
+// to any kernel underneath) that alters a single accept/reject decision
+// shows up here.
+//
+// kernels::Gemm accumulates with fused multiply-add in its AVX2/AVX-512
+// clones and with separate multiply and add on the portable path
+// (sanitizer and clang builds, hosts without FMA). The two round
+// differently, so every case has one digest per path.
+struct GoldenCase {
+  const char* model;
+  int bits;
+  uint32_t fused;
+  uint32_t unfused;
+};
+
+bool GemmFusesMultiplyAdd() {
+  const float a = 1.0f + 0x1p-12f;  // a * a needs 25 significant bits
+  float c = -1.0f;
+  kernels::Gemm(1, 1, 1, &a, 1, /*trans_a=*/false, &a, 1, /*trans_b=*/false,
+                &c, 1);
+  return c != 0x1p-11f;
+}
+
+uint32_t RunGoldenCase(const std::string& model_name, int bits) {
+  Rng rng(1000 + static_cast<uint64_t>(bits));
+  Dataset train, test, stream;
+  std::unique_ptr<Sequential> model;
+  if (model_name == "InceptionTime" || model_name == "OmniScaleCNN") {
+    HarSpec spec = SmallSpec();
+    spec.train_per_class = 8;
+    spec.test_per_class = 4;
+    HarDomain source = MakeHarDomain(spec, 0);
+    HarDomain target = MakeHarDomain(spec, 1);
+    train = source.train;
+    test = target.test;
+    stream = target.train;
+    model = MakeTimeSeriesModel(model_name, spec.channels, spec.num_classes,
+                                &rng);
+  } else {
+    ImageSpec spec = ImageSpec::Caltech10();
+    spec.num_classes = 4;
+    spec.height = 8;
+    spec.width = 8;
+    spec.train_per_class = 12;
+    spec.test_per_class = 4;
+    ImageDomain source = MakeImageDomain(spec, 0);
+    ImageDomain target = MakeImageDomain(spec, 1);
+    train = source.train;
+    test = target.test;
+    stream = target.train;
+    model = MakeImageModel(model_name, spec.channels, spec.height, spec.width,
+                           spec.num_classes, &rng);
+  }
+  TrainOptions topt;
+  topt.epochs = 3;
+  topt.batch_size = 16;
+  topt.sgd.lr = 0.03f;
+  TrainClassifier(model.get(), train.x(), train.labels(), topt, &rng);
+
+  std::vector<int> qcore_rows;
+  for (int i = 0; i < 16; ++i) qcore_rows.push_back(i * train.size() / 16);
+  const Dataset qcore = train.Subset(qcore_rows);
+  QuantizedModel qm(*model, bits);
+  BitFlipTrainOptions bfopt;
+  bfopt.ste.epochs = 2;
+  bfopt.ste.batch_size = 8;
+  bfopt.augment_episodes = 1;
+  bfopt.bf_train.epochs = 4;
+  BitFlipNet bf = TrainBitFlipNet(&qm, qcore, bfopt, &rng);
+  qm.DropShadows();
+
+  ContinualOptions copt;
+  copt.bf.trial_rows = 24;  // exercise the per-round row subsample
+  ContinualDriver driver(&qm, &bf, qcore, copt, &rng);
+  const std::vector<std::vector<int32_t>> deployed = qm.AllCodes();
+  uint32_t digest = 0;
+  SoftmaxCrossEntropy ce;
+  for (const Dataset& batch : SplitIntoStreamBatches(stream, 3, &rng)) {
+    const BatchStats stats = driver.ProcessBatch(batch, test);
+    const float loss = ce.Forward(qm.Forward(test.x()), test.labels());
+    digest = Crc32(&loss, sizeof(loss), digest);
+    digest = Crc32(&stats.accuracy, sizeof(stats.accuracy), digest);
+  }
+  // A trajectory that never accepts a proposal would pin nothing.
+  EXPECT_NE(qm.AllCodes(), deployed) << model_name << " at " << bits;
+  for (const std::vector<int32_t>& codes : qm.AllCodes()) {
+    digest = Crc32(codes.data(), codes.size() * sizeof(int32_t), digest);
+  }
+  const uint64_t rng_state = rng.NextUint64();
+  return Crc32(&rng_state, sizeof(rng_state), digest);
+}
+
+TEST(ContinualGoldenTest, ZooModelsMatchGoldenDigests) {
+  const GoldenCase kCases[] = {
+      {"OmniScaleCNN", 2, 123767645u, 123767645u},
+      {"OmniScaleCNN", 4, 942042646u, 1441292858u},
+      {"OmniScaleCNN", 8, 408490275u, 2919957847u},
+      {"InceptionTime", 2, 2788187072u, 3835072464u},
+      {"InceptionTime", 4, 3267362965u, 741494121u},
+      {"InceptionTime", 8, 172269617u, 3837193677u},
+      {"ResNet18", 2, 2200809331u, 2200809331u},
+      {"ResNet18", 4, 944632836u, 2456040858u},
+      {"ResNet18", 8, 1923455837u, 4147766861u},
+      {"VGG16", 2, 2950715572u, 1955998162u},
+      {"VGG16", 4, 243247103u, 178767029u},
+      {"VGG16", 8, 1933132864u, 3371682825u},
+  };
+  const bool fused = GemmFusesMultiplyAdd();
+  for (const GoldenCase& c : kCases) {
+    EXPECT_EQ(RunGoldenCase(c.model, c.bits), fused ? c.fused : c.unfused)
+        << c.model << " at " << c.bits << " bits, "
+        << (fused ? "fused" : "unfused") << " GEMM";
+  }
 }
 
 TEST(PipelineTest, EndToEndImprovesOverFrozenModel) {

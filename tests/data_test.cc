@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
+#include "common/serialize.h"
 #include "data/dataset.h"
 #include "data/har_generator.h"
 #include "data/image_generator.h"
@@ -75,6 +77,53 @@ TEST(DatasetTest, ReplicateToReachesTargetAndKeepsLabels) {
     }
     EXPECT_GE(count, 2);
   }
+}
+
+// A Dataset record with every field chosen by the caller, consistent or not.
+Result<Dataset> DecodeRecord(int32_t classes, int32_t count,
+                             const std::vector<int64_t>& shape,
+                             const std::vector<float>& values,
+                             const std::vector<int32_t>& labels) {
+  BinaryWriter w;
+  w.WriteI32(classes);
+  w.WriteI32(count);
+  w.WriteInt64s(shape);
+  w.WriteFloats(values);
+  w.WriteInts(labels);
+  BinaryReader r(w.TakeBuffer());
+  return Dataset::DeserializeFrom(&r);
+}
+
+TEST(DatasetTest, DeserializeRejectsCraftedRecords) {
+  // The writer's own records still decode.
+  BinaryWriter w;
+  TinyDataset().SerializeTo(&w);
+  BinaryReader r(w.TakeBuffer());
+  auto d = Dataset::DeserializeFrom(&r);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d.value().labels(), TinyDataset().labels());
+  EXPECT_EQ(d.value().x().vec(), TinyDataset().x().vec());
+
+  const std::vector<float> six(6, 1.0f);
+  EXPECT_TRUE(DecodeRecord(2, 2, {2, 3}, six, {0, 1}).ok());
+  // A label outside [0, num_classes).
+  EXPECT_FALSE(DecodeRecord(2, 2, {2, 3}, six, {0, 2}).ok());
+  EXPECT_FALSE(DecodeRecord(2, 2, {2, 3}, six, {-1, 0}).ok());
+  // Negative dims whose product still matches the value count.
+  EXPECT_FALSE(DecodeRecord(2, 2, {2, -1, -3}, six, {0, 1}).ok());
+  // A zero dim, a zero-row record, and a negative row count.
+  EXPECT_FALSE(DecodeRecord(2, 2, {2, 0}, {}, {0, 1}).ok());
+  EXPECT_FALSE(DecodeRecord(2, 0, {0, 3}, {}, {}).ok());
+  EXPECT_FALSE(DecodeRecord(2, -2, {-2, -3}, six, {0, 1}).ok());
+  // Dims whose element count overflows int64.
+  EXPECT_FALSE(
+      DecodeRecord(2, 2, {2, INT64_C(1) << 62, 4}, six, {0, 1}).ok());
+  // No classes.
+  EXPECT_FALSE(DecodeRecord(0, 2, {2, 3}, six, {0, 0}).ok());
+  EXPECT_FALSE(DecodeRecord(-3, 2, {2, 3}, six, {0, 0}).ok());
+  // Value or label counts that disagree with the shape.
+  EXPECT_FALSE(DecodeRecord(2, 2, {2, 3}, {1.0f}, {0, 1}).ok());
+  EXPECT_FALSE(DecodeRecord(2, 2, {2, 3}, six, {0}).ok());
 }
 
 TEST(DatasetTest, ShuffledIsPermutation) {

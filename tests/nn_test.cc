@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
+#include "models/model_zoo.h"
+#include "nn/activation_memo.h"
 #include "nn/batchnorm.h"
 #include "nn/composite.h"
 #include "nn/conv.h"
@@ -12,6 +15,8 @@
 #include "nn/model_io.h"
 #include "nn/sgd.h"
 #include "nn/training.h"
+#include "quant/quantized_model.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace qcore {
@@ -328,6 +333,121 @@ TEST(ModelIoTest, StructureMismatchRejected) {
   Status s = LoadModel(&other, path);
   EXPECT_FALSE(s.ok());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// ActivationMemo
+// ---------------------------------------------------------------------------
+
+struct MemoCase {
+  std::string name;
+  std::unique_ptr<Sequential> model;
+  Tensor x;
+};
+
+std::vector<MemoCase> ZooMemoCases(Rng* rng) {
+  std::vector<MemoCase> cases;
+  cases.push_back({"InceptionTime", MakeInceptionTime(3, 5, rng),
+                   Tensor::Randn({6, 3, 16}, rng)});
+  cases.push_back({"OmniScaleCNN", MakeOmniScaleCnn(3, 5, rng),
+                   Tensor::Randn({6, 3, 16}, rng)});
+  cases.push_back({"ResNetTiny", MakeResNetTiny(3, 5, rng),
+                   Tensor::Randn({4, 3, 8, 8}, rng)});
+  cases.push_back({"VggTiny", MakeVggTiny(3, 8, 8, 5, rng),
+                   Tensor::Randn({4, 3, 8, 8}, rng)});
+  for (MemoCase& c : cases) {
+    // One training-mode pass gives every BatchNorm non-trivial running
+    // statistics.
+    (void)c.model->Forward(c.x, /*training=*/true);
+  }
+  return cases;
+}
+
+std::vector<const Layer*> QuantizedOwners(const QuantizedModel& qm) {
+  std::vector<const Layer*> owners;
+  for (int t = 0; t < qm.num_quantized(); ++t) {
+    owners.push_back(qm.quantized(t).owner);
+  }
+  return owners;
+}
+
+bool BitEqual(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST(ActivationMemoTest, MatchesFullForwardUnderRandomAcceptReject) {
+  Rng rng(2024);
+  for (MemoCase& c : ZooMemoCases(&rng)) {
+    QuantizedModel qm(*c.model, 4);
+    qm.DropShadows();
+    ActivationMemo memo;
+    ASSERT_TRUE(BitEqual(memo.Record(qm.model(), QuantizedOwners(qm), c.x),
+                         qm.Forward(c.x)))
+        << c.name;
+    // Every tensor is dirtied several times, in random order, and each
+    // change is kept or reverted at random.
+    std::vector<int> order;
+    for (int round = 0; round < 4; ++round) {
+      for (int t = 0; t < qm.num_quantized(); ++t) order.push_back(t);
+    }
+    rng.Shuffle(&order);
+    for (int t : order) {
+      auto& qt = qm.quantized(t);
+      const std::vector<int32_t> saved = qt.codes;
+      const int n = static_cast<int>(qt.codes.size());
+      for (int e : rng.SampleWithoutReplacement(n, std::min(n, 8))) {
+        qm.ApplyCodeDelta(t, e, rng.NextBool(0.5) ? 1 : -1);
+      }
+      ASSERT_TRUE(BitEqual(memo.Recompute(c.x, qt.owner), qm.Forward(c.x)))
+          << c.name << " tensor " << t;
+      if (rng.NextBool(0.5)) {
+        memo.Accept();
+      } else {
+        memo.Reject();
+        qt.codes = saved;
+        qm.SyncParamFromCodes(t);
+      }
+    }
+  }
+}
+
+TEST(ActivationMemoTest, RecomputeRunsOnlyWhatTheDirtyLeafReaches) {
+  Rng rng(7);
+  auto model = MakeOmniScaleCnn(3, 5, &rng);
+  const int64_t rows = 4;
+  const Tensor x = Tensor::Randn({rows, 3, 16}, &rng);
+  QuantizedModel qm(*model, 4);
+  ActivationMemo memo;
+  auto gemm_calls = [] {
+    const kernels::GemmDispatchCounters c =
+        kernels::ThreadGemmDispatchCounters();
+    return c.wide + c.narrow;
+  };
+  uint64_t before = gemm_calls();
+  (void)memo.Record(qm.model(), QuantizedOwners(qm), x);
+  // 8 convolutions (one GEMM per row each) and the dense head.
+  EXPECT_EQ(gemm_calls() - before, static_cast<uint64_t>(8 * rows + 1));
+
+  // Tensors are registered in forward order: 4 block-1 branches, 4 block-2
+  // branches, then the dense head.
+  ASSERT_EQ(qm.num_quantized(), 9);
+  const struct {
+    int tensor;
+    uint64_t gemms;
+  } kExpected[] = {
+      {8, 1},                                    // dense head only
+      {5, static_cast<uint64_t>(rows + 1)},      // one block-2 branch
+      {0, static_cast<uint64_t>(5 * rows + 1)},  // one block-1 branch,
+                                                 // all of block 2
+  };
+  for (const auto& e : kExpected) {
+    before = gemm_calls();
+    (void)memo.Recompute(x, qm.quantized(e.tensor).owner);
+    EXPECT_EQ(gemm_calls() - before, e.gemms) << "tensor " << e.tensor;
+    memo.Reject();
+  }
 }
 
 }  // namespace

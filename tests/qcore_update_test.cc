@@ -3,12 +3,15 @@
 // resampling, fixed-seed determinism, and lossless code compression.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <vector>
 
 #include "common/huffman.h"
+#include "core/continual.h"
 #include "core/qcore_update.h"
 #include "data/har_generator.h"
+#include "models/model_zoo.h"
 
 namespace qcore {
 namespace {
@@ -110,6 +113,66 @@ TEST(QCoreUpdateTest, FixedSeedIsDeterministic) {
     return MakeUpdatePool(qcore, batch, &rng).labels();
   };
   EXPECT_EQ(pool_run(9), pool_run(9));
+}
+
+TEST(QCoreUpdateTest, CountReplacedIsAMultisetDiff) {
+  // Rows a, a, b in the old QCore. The new one holds a twice (both kept),
+  // b under another label (new) and an unseen row c (new).
+  Dataset before(Tensor::FromVector({3, 2}, {1, 2, 1, 2, 3, 4}), {0, 0, 1},
+                 2);
+  Dataset after(Tensor::FromVector({4, 2}, {1, 2, 3, 4, 1, 2, 5, 6}),
+                {0, 0, 0, 1}, 2);
+  EXPECT_EQ(CountReplaced(before, after), 2);
+  EXPECT_EQ(CountReplaced(before, before), 0);
+  // A third copy of a has no old counterpart left to match.
+  Dataset three_a(Tensor::FromVector({3, 2}, {1, 2, 1, 2, 1, 2}), {0, 0, 0},
+                  2);
+  EXPECT_EQ(CountReplaced(before, three_a), 1);
+}
+
+// Independent count for the driver test: greedy pairwise matching of
+// (row bytes, label), each old example used at most once.
+int ReplacedByPairing(const Dataset& before, const Dataset& after) {
+  const int64_t row = before.x().size() / before.size();
+  std::vector<bool> used(static_cast<size_t>(before.size()), false);
+  int replaced = 0;
+  for (int i = 0; i < after.size(); ++i) {
+    bool matched = false;
+    for (int j = 0; j < before.size() && !matched; ++j) {
+      matched = !used[static_cast<size_t>(j)] &&
+                after.labels()[static_cast<size_t>(i)] ==
+                    before.labels()[static_cast<size_t>(j)] &&
+                std::memcmp(after.x().data() + i * row,
+                            before.x().data() + j * row,
+                            static_cast<size_t>(row) * sizeof(float)) == 0;
+      if (matched) used[static_cast<size_t>(j)] = true;
+    }
+    if (!matched) ++replaced;
+  }
+  return replaced;
+}
+
+TEST(QCoreUpdateTest, DriverReportsExamplesTheResampleReplaced) {
+  const HarSpec spec = TinySpec();
+  HarDomain source = MakeHarDomain(spec, 0);
+  HarDomain target = MakeHarDomain(spec, 1);
+  Rng rng(31);
+  auto model = MakeOmniScaleCnn(spec.channels, spec.num_classes, &rng);
+  QuantizedModel qm(*model, 4);
+  ContinualOptions opts;
+  opts.use_bitflip = false;  // the resample alone decides the churn
+  const Dataset qcore0 = source.train.Subset({0, 5, 10, 15, 20, 25, 30, 35});
+  ContinualDriver driver(&qm, nullptr, qcore0, opts, &rng);
+  int below_size = 0;
+  for (const Dataset& batch : SplitIntoStreamBatches(target.train, 4, &rng)) {
+    const Dataset before = driver.qcore();
+    const BatchStats stats = driver.ProcessBatch(batch, Dataset());
+    EXPECT_EQ(stats.qcore_changed, ReplacedByPairing(before, driver.qcore()));
+    if (stats.qcore_changed < driver.qcore().size()) ++below_size;
+  }
+  // The miss-stratified resample keeps some old examples: the count is
+  // not simply the QCore size.
+  EXPECT_GT(below_size, 0);
 }
 
 TEST(HuffmanTest, EncodeDecodeRoundTrip) {
