@@ -199,25 +199,58 @@ void BM_Conv2dBackwardNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackwardNaive);
 
-// The im2col pack on its own — the lowering overhead the GEMM win has to
-// amortize.
+// The implicit im2col pack on its own, over the conv shape above: a
+// one-output-row conv GEMM, so the B-panel gather from the input dominates
+// the microkernel.
 void BM_Im2ColPack(benchmark::State& state) {
   Rng rng(23);
-  const int64_t c = 8, h = 16, w = 16;
-  const int kernel = 3, stride = 1, pad = 1;
-  const int64_t ho = (h + 2 * pad - kernel) / stride + 1;
-  const int64_t wo = (w + 2 * pad - kernel) / stride + 1;
-  Tensor x = Tensor::Randn({c, h, w}, &rng);
-  AlignedFloatVec col(static_cast<size_t>(c * kernel * kernel * ho * wo));
+  kernels::ConvInput in;
+  in.n = 1;
+  in.c = 8;
+  in.h = 16;
+  in.w = 16;
+  in.kernel_h = in.kernel_w = 3;
+  in.pad_h = in.pad_w = 1;
+  Tensor x = Tensor::Randn({in.c, in.h, in.w}, &rng);
+  in.x = x.data();
+  Tensor a = Tensor::Randn({1, in.rows()}, &rng);
+  AlignedFloatVec c(static_cast<size_t>(in.cols()));
   for (auto _ : state) {
-    kernels::Im2Col2d(x.data(), c, h, w, kernel, stride, pad, ho, wo,
-                      col.data());
-    benchmark::DoNotOptimize(col.data());
+    std::fill(c.begin(), c.end(), 0.0f);
+    kernels::Gemm(1, in.cols(), in.rows(), a.data(), in.rows(), false, in,
+                  false, c.data(), in.cols());
+    benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(col.size()));
+  state.SetItemsProcessed(state.iterations() * in.rows() * in.cols());
   ReportThreads(state, 1);
 }
 BENCHMARK(BM_Im2ColPack);
+
+// Conv forwards at the fleet's shapes: OmniScaleCNN's block-2 k=7 branch
+// (20 -> 5 channels, length 32) on a 32-row calibration pool, and the
+// bit-flip net's Conv1d(1 -> 4, k=3) over 2000 feature rows of [1, 6].
+// Each is one implicit GEMM over every row's output positions.
+void BM_Conv1dForwardOmniScaleBlock2(benchmark::State& state) {
+  Rng rng(24);
+  Conv1d conv(20, 5, 7, 1, Conv1d::SamePad(7), &rng);
+  Tensor x = Tensor::Randn({32, 20, 32}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.Forward(x, false));
+  }
+  ReportThreads(state, 1);
+}
+BENCHMARK(BM_Conv1dForwardOmniScaleBlock2);
+
+void BM_Conv1dForwardBitFlipNet(benchmark::State& state) {
+  Rng rng(25);
+  Conv1d conv(1, 4, 3, 1, 1, &rng);
+  Tensor x = Tensor::Randn({2000, 1, kBitFlipFeatureDim}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.Forward(x, false));
+  }
+  ReportThreads(state, 1);
+}
+BENCHMARK(BM_Conv1dForwardBitFlipNet);
 
 // ------------------- multithreaded GEMM / conv (panel-parallel) -----------
 //

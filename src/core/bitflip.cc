@@ -420,11 +420,13 @@ void BitFlipCalibrate(QuantizedModel* qm, BitFlipNet* bf, const Tensor& x,
   SetBatchNormFrozen(qm->model(), true);
   for (int it = 0; it < options.iterations; ++it) {
     // Training-mode forward populates the activation caches the features
-    // need; with BN frozen the outputs equal eval-mode outputs.
+    // need; with BN frozen the outputs equal eval-mode outputs up to
+    // rounding (see ContinualDriver::ProcessBatch).
     (void)qm->model()->Forward(x, /*training=*/true);
     BitFlipIterationFromCaches(qm, bf, x, labels, options, rng);
   }
   SetBatchNormFrozen(qm->model(), false);
+  qm->model()->ReleaseCaches();
 }
 
 }  // namespace qcore

@@ -150,7 +150,8 @@ float BitFlipIterationFromCaches(QuantizedModel* qm, BitFlipNet* bf,
                                  Rng* rng);
 
 // Full loop: for each iteration, forwards `x` (training mode, BatchNorm
-// frozen) to populate caches, then proposes and validates flips.
+// frozen) to populate caches, then proposes and validates flips. The
+// caches are released on return.
 void BitFlipCalibrate(QuantizedModel* qm, BitFlipNet* bf, const Tensor& x,
                       const std::vector<int>& labels,
                       const BitFlipCalibrateOptions& options, Rng* rng);

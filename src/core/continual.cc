@@ -33,7 +33,8 @@ BatchStats ContinualDriver::ProcessBatch(const Dataset& batch,
     // One forward serves both purposes: its logits feed the miss tracker
     // (Alg. 4 lines 6-9) and its activation caches feed the bit-flip
     // features (Alg. 3 line 6). With BN frozen, training-mode outputs equal
-    // eval-mode outputs.
+    // eval-mode outputs up to rounding: frozen BatchNorm applies its affine
+    // as gamma * x_hat + beta, eval mode as scale * x + shift.
     Tensor logits = qm_->model()->Forward(pool.x(), /*training=*/true);
     const std::vector<int> preds = ArgMaxRows(logits);
     std::vector<bool> correct(static_cast<size_t>(pool.size()));
@@ -50,6 +51,9 @@ BatchStats ContinualDriver::ProcessBatch(const Dataset& batch,
     }
   }
   SetBatchNormFrozen(qm_->model(), false);
+  // The training-mode caches only feed this batch's bit-flip features;
+  // kept until the next batch they would pin memory in every idle session.
+  qm_->model()->ReleaseCaches();
 
   if (options_.use_qcore_update) {
     Dataset updated =

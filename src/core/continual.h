@@ -38,7 +38,8 @@ class ContinualDriver {
                   const ContinualOptions& options, Rng* rng);
 
   // Calibrates on one stream batch (Algorithms 3+4 interleaved), then
-  // evaluates on the supplied test slice.
+  // evaluates on the supplied test slice. The model holds no training-mode
+  // caches afterwards (Layer::ReleaseCaches).
   BatchStats ProcessBatch(const Dataset& batch, const Dataset& test_slice);
 
   // Convenience: processes every batch in order against the matching test

@@ -122,6 +122,12 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   return out;
 }
 
+void BatchNorm::ReleaseCaches() {
+  cached_xhat_ = Tensor();
+  std::vector<float>().swap(cached_inv_std_);
+  std::vector<int64_t>().swap(cached_shape_);
+}
+
 Tensor BatchNorm::Backward(const Tensor& grad_out) {
   QCORE_CHECK_MSG(!cached_shape_.empty(), "Backward before training Forward");
   QCORE_CHECK(grad_out.shape() == cached_shape_);

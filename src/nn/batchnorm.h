@@ -25,6 +25,7 @@ class BatchNorm : public Layer {
   }
   std::unique_ptr<Layer> Clone() const override;
   std::string name() const override;
+  void ReleaseCaches() override;
 
   // Freeze mode: training-mode Forward normalizes with the *running*
   // statistics (treated as constants in Backward) and does not update them.

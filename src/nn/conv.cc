@@ -8,13 +8,81 @@
 
 namespace qcore {
 
-// Both conv layers lower onto the blocked GEMM substrate via im2col: each
-// sample's input plane is unfolded into a column matrix once, and the
-// forward pass / all three backward products become packed GEMM calls
-// instead of scalar loops with per-element bounds checks. Samples are
-// processed independently in batch order, so per-sample results are
-// bit-identical regardless of how rows were batched (the serving batcher's
-// bit-identity property), and gradient accumulation order is fixed.
+// Both conv layers run on the blocked GEMM substrate as implicit GEMMs: the
+// B operand is the lowered ("im2col") matrix of the input, which Gemm's
+// packer reads straight from x (kernels::ConvInput), so no column matrix
+// is ever built for the forward pass or the weight gradient.
+//
+// Forward is one GEMM over every sample's output positions. Each output
+// element is bias + its ascending-k FMA chain regardless of which sample
+// shares its tile, so per-sample results are bit-identical however rows
+// were batched (the serving batcher's bit-identity property). Backward
+// stays per sample, in batch order, so gradient accumulation order is
+// fixed.
+
+namespace {
+
+// out[n, F, S] = bias + W[F, P] * col(in) with S = in.out_h * in.out_w.
+// The GEMM fills C[F, n*S]: bias first, then the product, then a scatter
+// to sample-major order. A single sample's C already has the output
+// layout, so it is computed in place.
+void ConvForward(const Tensor& weight, const Tensor& bias,
+                 const kernels::ConvInput& in, float* out) {
+  const int64_t f = weight.dim(0);
+  const int64_t p = in.rows();
+  const int64_t cols = in.cols();
+  const int64_t s = in.out_h() * in.out_w();
+  // Scratch is per thread, like Gemm's pack buffers: concurrent sessions
+  // never share it, and its footprint scales with threads, not models.
+  thread_local AlignedFloatVec scratch;
+  float* c = out;
+  if (in.n > 1) {
+    if (scratch.size() < static_cast<size_t>(f * cols)) {
+      scratch.resize(static_cast<size_t>(f * cols));
+    }
+    c = scratch.data();
+  }
+  const float* pb = bias.data();
+  for (int64_t fo = 0; fo < f; ++fo) {
+    std::fill(c + fo * cols, c + (fo + 1) * cols, pb[fo]);
+  }
+  kernels::Gemm(f, cols, p, weight.data(), p, /*trans_a=*/false, in,
+                /*trans_b=*/false, c, cols);
+  if (c == out) return;
+  for (int64_t i = 0; i < in.n; ++i) {
+    for (int64_t fo = 0; fo < f; ++fo) {
+      const float* src = c + fo * cols + i * s;
+      std::copy(src, src + s, out + (i * f + fo) * s);
+    }
+  }
+}
+
+// The per-sample backward products: accumulates dW[F, P] += dY_i * col_i^T
+// and db += row sums of dY_i, and leaves dcol[P, S] = W^T * dY_i for the
+// caller's col2im. `sample` is the conv input of sample i alone (n = 1).
+void ConvBackwardSample(Parameter* weight, Parameter* bias,
+                        const kernels::ConvInput& sample, const float* gplane,
+                        float* dcol) {
+  const int64_t f = weight->value.dim(0);
+  const int64_t p = sample.rows();
+  const int64_t s = sample.cols();
+  float* pdb = bias->grad.data();
+  // Bias gradient: plain row sums, double accumulator (reduction policy).
+  for (int64_t fo = 0; fo < f; ++fo) {
+    double db = 0.0;
+    for (int64_t o = 0; o < s; ++o) db += gplane[fo * s + o];
+    pdb[fo] += static_cast<float>(db);
+  }
+  // dW[F, P] += dY_i[F, S] * col_i[P, S]^T, on top of running grads.
+  kernels::Gemm(f, p, s, gplane, s, /*trans_a=*/false, sample,
+                /*trans_b=*/true, weight->grad.data(), p);
+  // dcol[P, S] = W[F, P]^T * dY_i[F, S].
+  std::fill(dcol, dcol + p * s, 0.0f);
+  kernels::Gemm(p, s, f, weight->value.data(), p, /*trans_a=*/true, gplane, s,
+                /*trans_b=*/false, dcol, s);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Conv1d
@@ -44,30 +112,13 @@ Conv1d::Conv1d(int64_t in_channels, int64_t out_channels, int kernel,
 Tensor Conv1d::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_EQ(x.ndim(), 3);
   QCORE_CHECK_EQ(x.dim(1), in_channels_);
-  const int64_t n = x.dim(0), c = in_channels_, l = x.dim(2);
+  const int64_t n = x.dim(0), l = x.dim(2);
   const int64_t lo = (l + 2 * pad_ - kernel_) / stride_ + 1;
   QCORE_CHECK_MSG(lo > 0, "conv1d output length would be non-positive");
   if (training) cached_input_ = x;
   Tensor out({n, out_channels_, lo});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* po = out.data();
-  const int64_t ck = c * kernel_;
-  const size_t pack_size = static_cast<size_t>(ck * lo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
-  for (int64_t i = 0; i < n; ++i) {
-    float* oplane = po + i * out_channels_ * lo;
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      for (int64_t o = 0; o < lo; ++o) oplane[f * lo + o] = pb[f];
-    }
-    kernels::Im2Col1d(px + i * c * l, c, l, kernel_, stride_, pad_, lo,
-                      col.data());
-    // out_i[F, lo] (+)= W[F, C*K] * col[C*K, lo], on top of the bias fill.
-    kernels::Gemm(out_channels_, lo, ck, pw, ck, /*trans_a=*/false,
-                  col.data(), lo, /*trans_b=*/false, oplane, lo);
-  }
+  ConvForward(weight_.value, bias_.value, LoweredInput(x.data(), n, l),
+              out.data());
   return out;
 }
 
@@ -81,40 +132,31 @@ Tensor Conv1d::Backward(const Tensor& grad_out) {
 
   Tensor grad_in(x.shape());
   const float* px = x.data();
-  const float* pw = weight_.value.data();
   const float* pg = grad_out.data();
   float* pgi = grad_in.data();
-  float* pdw = weight_.grad.data();
-  float* pdb = bias_.grad.data();
-
-  const int64_t ck = c * kernel_;
-  const size_t pack_size = static_cast<size_t>(ck * lo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
+  const size_t pack_size = static_cast<size_t>(c * kernel_ * lo);
   if (dcol_scratch_.size() < pack_size) dcol_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
-  AlignedFloatVec& dcol = dcol_scratch_;
   for (int64_t i = 0; i < n; ++i) {
-    const float* gplane = pg + i * out_channels_ * lo;
-    // Bias gradient: plain row sums, double accumulator (reduction policy).
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      double db = 0.0;
-      for (int64_t o = 0; o < lo; ++o) db += gplane[f * lo + o];
-      pdb[f] += static_cast<float>(db);
-    }
-    kernels::Im2Col1d(px + i * c * l, c, l, kernel_, stride_, pad_, lo,
-                      col.data());
-    // dW[F, C*K] += dY_i[F, lo] * col[C*K, lo]^T, on top of running grads.
-    kernels::Gemm(out_channels_, ck, lo, gplane, lo, /*trans_a=*/false,
-                  col.data(), lo, /*trans_b=*/true, pdw, ck);
-    // dcol[C*K, lo] = W[F, C*K]^T * dY_i[F, lo], then fold back into dX_i.
-    std::fill(dcol.begin(), dcol.begin() + static_cast<int64_t>(pack_size),
-              0.0f);
-    kernels::Gemm(ck, lo, out_channels_, pw, ck, /*trans_a=*/true, gplane,
-                  lo, /*trans_b=*/false, dcol.data(), lo);
-    kernels::Col2Im1d(dcol.data(), c, l, kernel_, stride_, pad_, lo,
+    ConvBackwardSample(&weight_, &bias_,
+                       LoweredInput(px + i * c * l, 1, l),
+                       pg + i * out_channels_ * lo, dcol_scratch_.data());
+    kernels::Col2Im1d(dcol_scratch_.data(), c, l, kernel_, stride_, pad_, lo,
                       pgi + i * c * l);
   }
   return grad_in;
+}
+
+kernels::ConvInput Conv1d::LoweredInput(const float* x, int64_t n,
+                                        int64_t l) const {
+  kernels::ConvInput in;
+  in.x = x;
+  in.n = n;
+  in.c = in_channels_;
+  in.w = l;
+  in.kernel_w = kernel_;
+  in.stride = stride_;
+  in.pad_w = pad_;
+  return in;
 }
 
 std::unique_ptr<Layer> Conv1d::Clone() const {
@@ -158,32 +200,14 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int kernel,
 Tensor Conv2d::Forward(const Tensor& x, bool training) {
   QCORE_CHECK_EQ(x.ndim(), 4);
   QCORE_CHECK_EQ(x.dim(1), in_channels_);
-  const int64_t n = x.dim(0), c = in_channels_, h = x.dim(2), w = x.dim(3);
+  const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int64_t ho = (h + 2 * pad_ - kernel_) / stride_ + 1;
   const int64_t wo = (w + 2 * pad_ - kernel_) / stride_ + 1;
   QCORE_CHECK_MSG(ho > 0 && wo > 0, "conv2d output would be non-positive");
   if (training) cached_input_ = x;
   Tensor out({n, out_channels_, ho, wo});
-  const float* px = x.data();
-  const float* pw = weight_.value.data();
-  const float* pb = bias_.value.data();
-  float* po = out.data();
-  const int64_t ckk = c * kernel_ * kernel_;
-  const int64_t howo = ho * wo;
-  const size_t pack_size = static_cast<size_t>(ckk * howo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
-  for (int64_t i = 0; i < n; ++i) {
-    float* oplane = po + i * out_channels_ * howo;
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      for (int64_t o = 0; o < howo; ++o) oplane[f * howo + o] = pb[f];
-    }
-    kernels::Im2Col2d(px + i * c * h * w, c, h, w, kernel_, stride_, pad_, ho,
-                      wo, col.data());
-    // out_i[F, Ho*Wo] (+)= W[F, C*K*K] * col[C*K*K, Ho*Wo].
-    kernels::Gemm(out_channels_, howo, ckk, pw, ckk, /*trans_a=*/false,
-                  col.data(), howo, /*trans_b=*/false, oplane, howo);
-  }
+  ConvForward(weight_.value, bias_.value, LoweredInput(x.data(), n, h, w),
+              out.data());
   return out;
 }
 
@@ -197,40 +221,36 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
 
   Tensor grad_in(x.shape());
   const float* px = x.data();
-  const float* pw = weight_.value.data();
   const float* pg = grad_out.data();
   float* pgi = grad_in.data();
-  float* pdw = weight_.grad.data();
-  float* pdb = bias_.grad.data();
-
-  const int64_t ckk = c * kernel_ * kernel_;
   const int64_t howo = ho * wo;
-  const size_t pack_size = static_cast<size_t>(ckk * howo);
-  if (col_scratch_.size() < pack_size) col_scratch_.resize(pack_size);
+  const size_t pack_size =
+      static_cast<size_t>(c * kernel_ * kernel_ * howo);
   if (dcol_scratch_.size() < pack_size) dcol_scratch_.resize(pack_size);
-  AlignedFloatVec& col = col_scratch_;
-  AlignedFloatVec& dcol = dcol_scratch_;
   for (int64_t i = 0; i < n; ++i) {
-    const float* gplane = pg + i * out_channels_ * howo;
-    for (int64_t f = 0; f < out_channels_; ++f) {
-      double db = 0.0;
-      for (int64_t o = 0; o < howo; ++o) db += gplane[f * howo + o];
-      pdb[f] += static_cast<float>(db);
-    }
-    kernels::Im2Col2d(px + i * c * h * w, c, h, w, kernel_, stride_, pad_, ho,
-                      wo, col.data());
-    // dW[F, C*K*K] += dY_i[F, Ho*Wo] * col[C*K*K, Ho*Wo]^T.
-    kernels::Gemm(out_channels_, ckk, howo, gplane, howo, /*trans_a=*/false,
-                  col.data(), howo, /*trans_b=*/true, pdw, ckk);
-    // dcol = W^T * dY_i, folded back into dX_i by col2im.
-    std::fill(dcol.begin(), dcol.begin() + static_cast<int64_t>(pack_size),
-              0.0f);
-    kernels::Gemm(ckk, howo, out_channels_, pw, ckk, /*trans_a=*/true,
-                  gplane, howo, /*trans_b=*/false, dcol.data(), howo);
-    kernels::Col2Im2d(dcol.data(), c, h, w, kernel_, stride_, pad_, ho, wo,
-                      pgi + i * c * h * w);
+    ConvBackwardSample(&weight_, &bias_,
+                       LoweredInput(px + i * c * h * w, 1, h, w),
+                       pg + i * out_channels_ * howo, dcol_scratch_.data());
+    kernels::Col2Im2d(dcol_scratch_.data(), c, h, w, kernel_, stride_, pad_,
+                      ho, wo, pgi + i * c * h * w);
   }
   return grad_in;
+}
+
+kernels::ConvInput Conv2d::LoweredInput(const float* x, int64_t n, int64_t h,
+                                        int64_t w) const {
+  kernels::ConvInput in;
+  in.x = x;
+  in.n = n;
+  in.c = in_channels_;
+  in.h = h;
+  in.w = w;
+  in.kernel_h = kernel_;
+  in.kernel_w = kernel_;
+  in.stride = stride_;
+  in.pad_h = pad_;
+  in.pad_w = pad_;
+  return in;
 }
 
 std::unique_ptr<Layer> Conv2d::Clone() const {

@@ -1,5 +1,7 @@
-// 1-D and 2-D convolution layers, lowered per sample onto the blocked GEMM
-// substrate via im2col/col2im (tensor/kernels.h). The scalar direct-loop
+// 1-D and 2-D convolution layers on the blocked GEMM substrate
+// (tensor/kernels.h): the forward pass and the weight gradient are implicit
+// GEMMs whose B panels are packed straight from the input, and the input
+// gradient folds a GEMM result back with col2im. The scalar direct-loop
 // implementations survive as qcore::naive::Conv{1,2}dForward/Backward — the
 // oracle for kernels_test and the baseline for the perf CI gate.
 #ifndef QCORE_NN_CONV_H_
@@ -11,6 +13,7 @@
 
 #include "common/aligned.h"
 #include "nn/layer.h"
+#include "tensor/kernels.h"
 
 namespace qcore {
 
@@ -36,10 +39,14 @@ class Conv1d : public Layer {
   const Tensor* cached_input() const override {
     return cached_input_.size() > 0 ? &cached_input_ : nullptr;
   }
+  void ReleaseCaches() override { cached_input_ = Tensor(); }
 
  private:
   Conv1d(int64_t ic, int64_t oc, int k, int s, int p)
       : in_channels_(ic), out_channels_(oc), kernel_(k), stride_(s), pad_(p) {}
+
+  // The input of n samples of length l as Gemm's implicit B operand.
+  kernels::ConvInput LoweredInput(const float* x, int64_t n, int64_t l) const;
 
   int64_t in_channels_;
   int64_t out_channels_;
@@ -49,14 +56,13 @@ class Conv1d : public Layer {
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;
-  // im2col pack scratch, persisted across calls on the same layer — the
-  // pack buffer is ~20% of a small conv forward, so reallocating it per
-  // call is measurable. Grown on demand, never shrunk; every needed entry
-  // is rewritten before use (Im2Col writes the full column matrix, dcol is
-  // zero-filled), so reuse cannot leak state between calls. Not cloned:
-  // layers are not internally synchronized anyway (see serving/session.h),
-  // so the scratch adds no new threading constraint.
-  AlignedFloatVec col_scratch_;
+  // Backward's per-sample dcol buffer, persisted across calls on the same
+  // layer. Grown on demand, never shrunk, zero-filled before every use, so
+  // reuse cannot leak state between calls. The forward pass and the weight
+  // gradient need no lowering buffer: Gemm packs their B panels straight
+  // from the input. Not cloned: layers are not internally synchronized
+  // anyway (see serving/session.h), so the scratch adds no new threading
+  // constraint.
   AlignedFloatVec dcol_scratch_;
 };
 
@@ -77,10 +83,15 @@ class Conv2d : public Layer {
   const Tensor* cached_input() const override {
     return cached_input_.size() > 0 ? &cached_input_ : nullptr;
   }
+  void ReleaseCaches() override { cached_input_ = Tensor(); }
 
  private:
   Conv2d(int64_t ic, int64_t oc, int k, int s, int p)
       : in_channels_(ic), out_channels_(oc), kernel_(k), stride_(s), pad_(p) {}
+
+  // The input of n samples of h x w as Gemm's implicit B operand.
+  kernels::ConvInput LoweredInput(const float* x, int64_t n, int64_t h,
+                                  int64_t w) const;
 
   int64_t in_channels_;
   int64_t out_channels_;
@@ -90,8 +101,7 @@ class Conv2d : public Layer {
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;
-  // Persistent im2col scratch; see the Conv1d note.
-  AlignedFloatVec col_scratch_;
+  // Backward's dcol buffer; see the Conv1d note.
   AlignedFloatVec dcol_scratch_;
 };
 

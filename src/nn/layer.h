@@ -77,6 +77,14 @@ class Layer {
   // observe per-layer activations without changing the forward API.
   virtual const Tensor* cached_input() const { return nullptr; }
 
+  // Frees the activations the last training-mode Forward cached for
+  // Backward and cached_input(), here and in every descendant. Backward
+  // then needs a fresh training-mode Forward. Leaves that cache an
+  // activation override this; composites inherit the recursion.
+  virtual void ReleaseCaches() {
+    ForEachChild([](Layer* child) { child->ReleaseCaches(); });
+  }
+
   void ZeroGrad() {
     for (Parameter* p : Params()) p->ZeroGrad();
   }

@@ -27,6 +27,7 @@ class Dense : public Layer {
   const Tensor* cached_input() const override {
     return cached_input_.size() > 0 ? &cached_input_ : nullptr;
   }
+  void ReleaseCaches() override { cached_input_ = Tensor(); }
 
  private:
   Dense(int64_t in, int64_t out) : in_features_(in), out_features_(out) {}
@@ -45,6 +46,7 @@ class Relu : public Layer {
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
   std::string name() const override { return "relu"; }
+  void ReleaseCaches() override { cached_input_ = Tensor(); }
 
  private:
   Tensor cached_input_;
@@ -72,6 +74,10 @@ class MaxPool1d : public Layer {
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
   std::string name() const override;
+  void ReleaseCaches() override {
+    std::vector<int64_t>().swap(cached_shape_);
+    std::vector<int64_t>().swap(argmax_);
+  }
 
  private:
   int kernel_;
@@ -88,6 +94,10 @@ class MaxPool2d : public Layer {
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
   std::string name() const override;
+  void ReleaseCaches() override {
+    std::vector<int64_t>().swap(cached_shape_);
+    std::vector<int64_t>().swap(argmax_);
+  }
 
  private:
   int kernel_;

@@ -63,6 +63,164 @@ inline void PackPanelB(int64_t kc, int64_t nr, const float* b, int64_t ldb,
   }
 }
 
+// --------------------------- implicit im2col packer -----------------------
+//
+// A run is a stretch of consecutive lowered columns that share one sample
+// and one output row, so along a run the source index moves by `stride`
+// per column. Splitting a panel's column range into runs once lets every
+// panel row reuse the split.
+struct ConvRun {
+  const float* sample;  // x[i, 0, 0, 0]
+  int64_t oy;           // output row
+  int64_t ox;           // first output column
+  int64_t len;
+  int64_t at;           // offset of the run's first column in the range
+};
+
+// Splits lowered columns [j0, j0 + count) into runs; returns the run count
+// (at most count).
+inline int SplitRuns(const ConvInput& s, int64_t ho, int64_t wo, int64_t j0,
+                     int64_t count, ConvRun* runs) {
+  const int64_t plane = ho * wo;
+  int64_t i = j0 / plane;
+  int64_t oy = (j0 % plane) / wo;
+  int64_t ox = j0 % wo;
+  int num = 0;
+  for (int64_t at = 0; at < count;) {
+    const int64_t len = std::min(wo - ox, count - at);
+    runs[num++] = {s.x + i * s.c * s.h * s.w, oy, ox, len, at};
+    at += len;
+    ox = 0;
+    if (++oy == ho) {
+      oy = 0;
+      ++i;
+    }
+  }
+  return num;
+}
+
+// The kernel tap of lowered row p = (ch*kernel_h + ky)*kernel_w + kx, with
+// the output columns whose source column off + ox*stride lies inside the
+// input row hoisted out of the runs. Rows are visited in order, so taps
+// advance incrementally instead of being decoded with divisions.
+struct ConvTap {
+  int64_t ch, ky, kx;
+  int64_t off;           // source column at ox = 0: kx - pad_w
+  int64_t ox_lo, ox_hi;  // valid output columns [ox_lo, ox_hi)
+
+  void Hoist(const ConvInput& s, int64_t wo) {
+    off = kx - s.pad_w;
+    if (s.stride == 1) {
+      ox_lo = std::max<int64_t>(0, -off);
+      ox_hi = std::min(wo, std::max<int64_t>(0, s.w - off));
+    } else {
+      ox_lo = off >= 0 ? 0 : (s.stride - 1 - off) / s.stride;
+      ox_hi = off >= s.w ? 0 : std::min(wo, (s.w - 1 - off) / s.stride + 1);
+    }
+  }
+  static ConvTap Of(const ConvInput& s, int64_t wo, int64_t p) {
+    const int64_t taps = static_cast<int64_t>(s.kernel_h) * s.kernel_w;
+    ConvTap t;
+    t.ch = p / taps;
+    t.ky = (p % taps) / s.kernel_w;
+    t.kx = p % s.kernel_w;
+    t.Hoist(s, wo);
+    return t;
+  }
+  void Next(const ConvInput& s, int64_t wo) {
+    if (++kx == s.kernel_w) {
+      kx = 0;
+      if (++ky == s.kernel_h) {
+        ky = 0;
+        ++ch;
+      }
+    }
+    Hoist(s, wo);
+  }
+};
+
+// Writes the lowered row of `tap` over `runs` to dst[t * dst_stride] for
+// every column t of the range: per run a zero head, a copy, a zero tail.
+inline void FillLoweredRow(const ConvInput& s, const ConvTap& tap,
+                           const ConvRun* runs, int num_runs, float* dst,
+                           int64_t dst_stride) {
+  for (int r = 0; r < num_runs; ++r) {
+    const ConvRun& run = runs[r];
+    float* d = dst + run.at * dst_stride;
+    const int64_t end = run.ox + run.len;
+    const int64_t sy = run.oy * s.stride + tap.ky - s.pad_h;
+    const bool row_valid = sy >= 0 && sy < s.h;
+    // Valid columns [lo, hi) of this run; empty when the row is padding.
+    const int64_t lo =
+        row_valid ? std::min(std::max(tap.ox_lo, run.ox), end) : end;
+    const int64_t hi = row_valid ? std::max(std::min(tap.ox_hi, end), lo) : end;
+    int64_t t = 0;
+    for (int64_t ox = run.ox; ox < lo; ++ox, ++t) d[t * dst_stride] = 0.0f;
+    if (lo < hi) {
+      const float* row = run.sample + (tap.ch * s.h + sy) * s.w;
+      if (s.stride == 1 && dst_stride == 1) {
+        for (int64_t ox = lo; ox < hi; ++ox, ++t) d[t] = row[ox + tap.off];
+      } else {
+        for (int64_t ox = lo; ox < hi; ++ox, ++t) {
+          d[t * dst_stride] = row[ox * s.stride + tap.off];
+        }
+      }
+    }
+    for (int64_t ox = hi; ox < end; ++ox, ++t) d[t * dst_stride] = 0.0f;
+  }
+}
+
+// Packs the kc x nr panel at (k0, j0) of col(s) (trans_b false) or col(s)^T
+// (trans_b true) into pb, zero-padding columns [nr, kNR) — the same bytes
+// PackPanelB would write from a materialized col.
+inline void PackConvPanelB(const ConvInput& s, bool trans_b, int64_t k0,
+                           int64_t kc, int64_t j0, int64_t nr, float* pb) {
+  const int64_t ho = s.out_h(), wo = s.out_w();
+  ConvRun runs[kKC > kNR ? kKC : kNR];
+  if (!trans_b) {
+    // Panel rows are lowered rows k0.., columns the lowered columns j0...
+    const int num = SplitRuns(s, ho, wo, j0, nr, runs);
+    ConvTap tap = ConvTap::Of(s, wo, k0);
+    for (int64_t p = 0; p < kc; ++p, tap.Next(s, wo)) {
+      float* dst = pb + p * kNR;
+      FillLoweredRow(s, tap, runs, num, dst, 1);
+      for (int64_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
+    }
+  } else {
+    // Panel rows are lowered columns k0.., columns the lowered rows j0..;
+    // each panel column is one lowered row written down the panel.
+    const int num = SplitRuns(s, ho, wo, k0, kc, runs);
+    ConvTap tap = ConvTap::Of(s, wo, j0);
+    for (int64_t j = 0; j < nr; ++j, tap.Next(s, wo)) {
+      FillLoweredRow(s, tap, runs, num, pb + j, kNR);
+    }
+    for (int64_t p = 0; p < kc; ++p) {
+      for (int64_t j = nr; j < kNR; ++j) pb[p * kNR + j] = 0.0f;
+    }
+  }
+}
+
+// Gemm's B operand: a stored matrix (conv == nullptr) or the lowered
+// matrix of a conv input. Both are addressed by logical (k, n) position.
+struct PanelSourceB {
+  const float* b;
+  int64_t ldb;
+  bool trans_b;
+  const ConvInput* conv;
+};
+
+// Packs the kc x nr panel of op(B) whose top-left is logical (k0, j0).
+inline void PackB(const PanelSourceB& src, int64_t k0, int64_t kc, int64_t j0,
+                  int64_t nr, float* pb) {
+  if (src.conv != nullptr) {
+    PackConvPanelB(*src.conv, src.trans_b, k0, kc, j0, nr, pb);
+    return;
+  }
+  const float* b = src.trans_b ? src.b + j0 * src.ldb + k0
+                               : src.b + k0 * src.ldb + j0;
+  PackPanelB(kc, nr, b, src.ldb, src.trans_b, pb);
+}
+
 // Packs a mr x kc row panel of A into pa (layout pa[p*kMR + i]),
 // zero-padding rows [mr, kMR). trans_a means A is stored [k, m].
 inline void PackPanelA(int64_t kc, int64_t mr, const float* a, int64_t lda,
@@ -135,8 +293,8 @@ inline void MicroKernelEdge(int64_t kc, const float* __restrict__ pa,
 
 QCORE_GEMM_CLONES
 void GemmImpl(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-              bool trans_a, const float* b, int64_t ldb, bool trans_b,
-              float* c, int64_t ldc) {
+              bool trans_a, const PanelSourceB& b, int64_t j0, float* c,
+              int64_t ldc) {
   // Pack buffers are reused across calls; each worker thread owns its own,
   // so concurrent sessions never share scratch.
   thread_local AlignedFloatVec packed_a;
@@ -160,10 +318,8 @@ void GemmImpl(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
     for (int64_t pc = 0; pc < k; pc += kKC) {
       const int64_t kc = std::min(kKC, k - pc);
       for (int64_t jr = 0; jr < nc; jr += kNR) {
-        const float* bsrc = trans_b ? b + (jc + jr) * ldb + pc
-                                    : b + pc * ldb + jc + jr;
-        PackPanelB(kc, std::min<int64_t>(kNR, nc - jr), bsrc, ldb, trans_b,
-                   pb + jr * kc);
+        PackB(b, pc, kc, j0 + jc + jr, std::min<int64_t>(kNR, nc - jr),
+              pb + jr * kc);
       }
       for (int64_t ic = 0; ic < m; ic += kMC) {
         const int64_t mc = std::min(kMC, m - ic);
@@ -209,9 +365,9 @@ static_assert(kRowChunk % kMR == 0 && kColChunk % kNR == 0,
               "chunk boundaries must align with register tiles or the "
               "parallel tile decomposition diverges from the sequential one");
 
-// Copy-volume threshold for fanning the im2col/col2im channel loops out:
-// these are memory-bound shuffles, so they need more elements than a GEMM
-// needs FLOPs before threads pay for themselves.
+// Copy-volume threshold for fanning the col2im channel loops out: these
+// are memory-bound scatters, so they need more elements than a GEMM needs
+// FLOPs before threads pay for themselves.
 constexpr int64_t kLoweringParallelMinWork = int64_t{1} << 20;
 
 std::atomic<int> g_gemm_threads{0};  // 0 = not resolved yet
@@ -270,9 +426,14 @@ void set_gemm_parallel_min_work(int64_t mnk) {
 
 GemmDispatchCounters ThreadGemmDispatchCounters() { return tls_gemm_dispatch; }
 
-void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
-          bool trans_a, const float* b, int64_t ldb, bool trans_b, float* c,
-          int64_t ldc) {
+namespace {
+
+// The one dispatcher behind both Gemm overloads: picks narrow vs wide,
+// counts the decision, and runs GemmImpl over the whole product or over
+// each output chunk.
+void DispatchGemm(int64_t m, int64_t n, int64_t k, const float* a,
+                  int64_t lda, bool trans_a, const PanelSourceB& b, float* c,
+                  int64_t ldc) {
   QCORE_CHECK(m > 0 && n > 0 && k > 0);
   const int threads = gemm_threads();
   if (threads > 1 && !InParallelRegion() &&
@@ -285,33 +446,36 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
       ParallelFor(grid, threads, [&](int64_t t) {
         const int64_t r0 = (t / col_chunks) * kRowChunk;
         const int64_t c0 = (t % col_chunks) * kColChunk;
-        // Sub-matrix views for chunk (r0, c0): A offset by r0 rows, B by c0
-        // columns, honoring the storage transposes. Each worker's GemmImpl
+        // Chunk (r0, c0): A offset by r0 rows (honoring its storage
+        // transpose), B by c0 logical columns. Each worker's GemmImpl
         // packs into its own thread_local scratch.
         const float* ta = trans_a ? a + r0 : a + r0 * lda;
-        const float* tb = trans_b ? b + c0 * ldb : b + c0;
         GemmImpl(std::min(kRowChunk, m - r0), std::min(kColChunk, n - c0), k,
-                 ta, lda, trans_a, tb, ldb, trans_b, c + r0 * ldc + c0, ldc);
+                 ta, lda, trans_a, b, c0, c + r0 * ldc + c0, ldc);
       });
       return;
     }
   }
   tls_gemm_dispatch.narrow++;
-  GemmImpl(m, n, k, a, lda, trans_a, b, ldb, trans_b, c, ldc);
+  GemmImpl(m, n, k, a, lda, trans_a, b, 0, c, ldc);
 }
 
-void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
-              int pad, int64_t lo, float* col) {
-  ParallelChannels(c, static_cast<int64_t>(kernel) * lo, [&](int64_t ch) {
-    const float* xrow = x + ch * l;
-    for (int kx = 0; kx < kernel; ++kx) {
-      float* crow = col + (ch * kernel + kx) * lo;
-      for (int64_t o = 0; o < lo; ++o) {
-        const int64_t t = o * stride + kx - pad;
-        crow[o] = (t >= 0 && t < l) ? xrow[t] : 0.0f;
-      }
-    }
-  });
+}  // namespace
+
+void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+          bool trans_a, const float* b, int64_t ldb, bool trans_b, float* c,
+          int64_t ldc) {
+  DispatchGemm(m, n, k, a, lda, trans_a, {b, ldb, trans_b, nullptr}, c, ldc);
+}
+
+void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+          bool trans_a, const ConvInput& b, bool trans_b, float* c,
+          int64_t ldc) {
+  QCORE_CHECK(b.x != nullptr && b.stride > 0);
+  QCORE_CHECK(b.out_h() > 0 && b.out_w() > 0);
+  QCORE_CHECK_EQ(k, trans_b ? b.cols() : b.rows());
+  QCORE_CHECK_EQ(n, trans_b ? b.rows() : b.cols());
+  DispatchGemm(m, n, k, a, lda, trans_a, {nullptr, 0, trans_b, &b}, c, ldc);
 }
 
 void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
@@ -325,33 +489,6 @@ void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
       for (int64_t o = 0; o < lo; ++o) {
         const int64_t t = o * stride + kx - pad;
         if (t >= 0 && t < l) xrow[t] += crow[o];
-      }
-    }
-  });
-}
-
-void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
-              int stride, int pad, int64_t ho, int64_t wo, float* col) {
-  const int64_t per_channel =
-      static_cast<int64_t>(kernel) * kernel * ho * wo;
-  ParallelChannels(c, per_channel, [&](int64_t ch) {
-    const float* xplane = x + ch * h * w;
-    for (int ky = 0; ky < kernel; ++ky) {
-      for (int kx = 0; kx < kernel; ++kx) {
-        float* cplane = col + ((ch * kernel + ky) * kernel + kx) * ho * wo;
-        for (int64_t oy = 0; oy < ho; ++oy) {
-          const int64_t sy = oy * stride + ky - pad;
-          float* crow = cplane + oy * wo;
-          if (sy < 0 || sy >= h) {
-            for (int64_t ox = 0; ox < wo; ++ox) crow[ox] = 0.0f;
-            continue;
-          }
-          const float* xrow = xplane + sy * w;
-          for (int64_t ox = 0; ox < wo; ++ox) {
-            const int64_t sx = ox * stride + kx - pad;
-            crow[ox] = (sx >= 0 && sx < w) ? xrow[sx] : 0.0f;
-          }
-        }
       }
     }
   });

@@ -1,12 +1,19 @@
 // Blocked/vectorized kernel substrate.
 //
 // Every GEMM-shaped workload in the tree (MatMul and both transposed
-// variants, Dense forward/backward, im2col-lowered conv forward/backward)
-// funnels into one cache-blocked, register-tiled packed kernel: Gemm().
+// variants, Dense forward/backward, conv forward/backward) funnels into one
+// cache-blocked, register-tiled packed kernel: Gemm(). Convolutions use it
+// as an implicit GEMM: their B operand is the lowered ("im2col") matrix of
+// the conv input, and Gemm's B-panel packer reads each panel straight from
+// the input tensor, so the column matrix is never built (see ConvInput).
 //
 // Tiling scheme (Goto-style, sized to this repo's L1/L2 targets):
 //   - B is packed into kNR-wide column panels, A into kMR-tall row panels;
 //     panels are zero-padded to full width so the microkernel is branch-free.
+//     B panels come from one of two packers: a strided copy of a stored
+//     matrix, or a gather from a conv input (the implicit im2col). Both
+//     write the same panel bytes for the same logical matrix; everything
+//     after the pack is shared.
 //   - Loop nest: jc (kNC columns, keeps the packed B block under L2) ->
 //     pc (kKC of the reduction dim; one A panel + one B panel fit L1) ->
 //     ic (kMC rows of packed A, L2-resident) -> NR/MR register tiles.
@@ -75,7 +82,7 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
 
 // ------------------------- Deterministic multithreaded dispatch ------------
 //
-// Gemm() and the im2col/col2im lowerings fan out across runtime::ParallelFor
+// Gemm() and the col2im scatters fan out across runtime::ParallelFor
 // when (a) the kernel thread budget is > 1 and (b) the call is big enough to
 // clear the crossover threshold — small kernels stay single-threaded because
 // the fan-out costs more than it saves (tuned by the MatMulWide section of
@@ -115,20 +122,48 @@ struct GemmDispatchCounters {
 };
 GemmDispatchCounters ThreadGemmDispatchCounters();
 
-// Lowers one [c, l] input plane to a column matrix col[c*kernel, lo] with
-// col[(ch*kernel + kx) * lo + o] = x[ch, o*stride + kx - pad] (0 outside).
-void Im2Col1d(const float* x, int64_t c, int64_t l, int kernel, int stride,
-              int pad, int64_t lo, float* col);
+// A convolution input read as its lowered ("im2col") matrix, for use as
+// Gemm's B operand. For x [n, c, h, w] and a kernel_h x kernel_w window the
+// lowered matrix col has P = c * kernel_h * kernel_w rows and
+// J = n * out_h * out_w columns, one per output position of every sample:
+//
+//   col[(ch*kernel_h + ky)*kernel_w + kx, (i*out_h + oy)*out_w + ox]
+//       = x[i, ch, oy*stride + ky - pad_h, ox*stride + kx - pad_w]
+//
+// and 0 where that index falls outside the input. A 1-D conv over [n, c, l]
+// is the case h = 1, kernel_h = 1, pad_h = 0.
+struct ConvInput {
+  const float* x = nullptr;
+  int64_t n = 0, c = 0, h = 1, w = 0;
+  int kernel_h = 1, kernel_w = 1;
+  int stride = 1;
+  int pad_h = 0, pad_w = 0;
 
-// Scatter-add inverse of Im2Col1d: x[c, l] += unfolded col. Iteration is
-// (ch, kx, o) ascending, so overlapping taps accumulate in a fixed order.
+  int64_t out_h() const { return (h + 2 * pad_h - kernel_h) / stride + 1; }
+  int64_t out_w() const { return (w + 2 * pad_w - kernel_w) / stride + 1; }
+  int64_t rows() const { return c * kernel_h * kernel_w; }
+  int64_t cols() const { return n * out_h() * out_w(); }
+};
+
+// Gemm with B = col(x) (trans_b false: C[m, J] += op(A) * col, k = P — the
+// conv forward over every sample's output positions at once) or B = col^T
+// (trans_b true: C[m, P] += op(A) * col^T, k = J — the weight gradient).
+// Same blocking, microkernel, dispatch and counters as the dense overload.
+// The packer writes exactly the panel bytes the dense overload would pack
+// from a materialized col, so the results are bit-identical to it.
+void Gemm(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+          bool trans_a, const ConvInput& b, bool trans_b, float* c,
+          int64_t ldc);
+
+// Scatter-add of a lowered matrix back onto one sample's [c, l] plane (the
+// conv input gradient): x[ch, o*stride + kx - pad] += col[ch*kernel + kx, o]
+// for taps inside the plane. Iteration is (ch, kx, o) ascending, so
+// overlapping taps accumulate in a fixed order.
 void Col2Im1d(const float* col, int64_t c, int64_t l, int kernel, int stride,
               int pad, int64_t lo, float* x);
 
-// 2-D variants over [c, h, w] planes with square kernels:
-// col[((ch*kernel + ky)*kernel + kx) * (ho*wo) + oy*wo + ox].
-void Im2Col2d(const float* x, int64_t c, int64_t h, int64_t w, int kernel,
-              int stride, int pad, int64_t ho, int64_t wo, float* col);
+// 2-D variant over a [c, h, w] plane with a square kernel; col rows are
+// (ch*kernel + ky)*kernel + kx, columns oy*wo + ox.
 void Col2Im2d(const float* col, int64_t c, int64_t h, int64_t w, int kernel,
               int stride, int pad, int64_t ho, int64_t wo, float* x);
 

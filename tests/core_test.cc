@@ -341,6 +341,39 @@ TEST(ContinualDriverTest, UpdateAbsorbsStreamExamples) {
   EXPECT_TRUE(any_new);
 }
 
+// A session's model must not carry the calibration forward's activation
+// caches between batches: ProcessBatch and BitFlipCalibrate release them.
+TEST(ContinualDriverTest, CalibrationReleasesTrainingCaches) {
+  CalibratedFixture f;
+  Dataset batch = SplitIntoStreamBatches(f.target.train, 10, &f.rng)[0];
+  Layer* model = f.qm->model();
+  auto leaves_holding_input = [model] {
+    int holding = 0;
+    for (Layer* leaf : FlattenLeafLayers(model)) {
+      holding += leaf->cached_input() != nullptr ? 1 : 0;
+    }
+    return holding;
+  };
+  auto fill_caches = [&] {
+    SetBatchNormFrozen(model, true);
+    (void)model->Forward(batch.x(), /*training=*/true);
+    SetBatchNormFrozen(model, false);
+  };
+
+  fill_caches();
+  ASSERT_GT(leaves_holding_input(), 0);
+  ContinualDriver driver(f.qm.get(), f.bf.get(), f.build.qcore,
+                         ContinualOptions(), &f.rng);
+  driver.ProcessBatch(batch, Dataset());
+  EXPECT_EQ(leaves_holding_input(), 0);
+
+  fill_caches();
+  ASSERT_GT(leaves_holding_input(), 0);
+  BitFlipCalibrate(f.qm.get(), f.bf.get(), batch.x(), batch.labels(),
+                   BitFlipCalibrateOptions(), &f.rng);
+  EXPECT_EQ(leaves_holding_input(), 0);
+}
+
 TEST(ContinualDriverTest, RunStreamReportsPerBatchStats) {
   CalibratedFixture f;
   ContinualOptions opts;

@@ -1,11 +1,13 @@
 // Property tests for the blocked kernel substrate (tensor/kernels.h):
-// blocked GEMM and im2col-lowered conv against the retained naive
+// blocked GEMM and implicit-GEMM conv against the retained naive
 // references across awkward shapes, plus determinism and alignment
 // guarantees the serving layer depends on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <future>
 #include <vector>
 
@@ -207,43 +209,6 @@ TEST_P(Conv2dLoweringTest, ForwardBackwardMatchNaive) {
 INSTANTIATE_TEST_SUITE_P(Cases, Conv2dLoweringTest,
                          ::testing::ValuesIn(kConv2dCases));
 
-// im2col/col2im round-trip: col2im(im2col(x)) multiplies each input element
-// by the number of windows covering it; with kernel == stride == 1 and no
-// padding that count is exactly one.
-TEST(Im2ColTest, IdentityWhenKernelOneStrideOne) {
-  Rng rng(5);
-  Tensor x = Tensor::Randn({3, 11}, &rng);
-  AlignedFloatVec col(static_cast<size_t>(3 * 11));
-  kernels::Im2Col1d(x.data(), 3, 11, 1, 1, 0, 11, col.data());
-  for (int64_t i = 0; i < x.size(); ++i) ASSERT_EQ(col[i], x[i]);
-  Tensor back = Tensor::Zeros({3, 11});
-  kernels::Col2Im1d(col.data(), 3, 11, 1, 1, 0, 11, back.data());
-  for (int64_t i = 0; i < x.size(); ++i) ASSERT_EQ(back[i], x[i]);
-}
-
-TEST(Im2ColTest, PaddingProducesZeroColumns) {
-  Rng rng(6);
-  const int64_t c = 2, l = 4;
-  const int kernel = 3, stride = 1, pad = 3;  // pad >= kernel
-  const int64_t lo = (l + 2 * pad - kernel) / stride + 1;
-  Tensor x = Tensor::Full({c, l}, 1.0f);
-  AlignedFloatVec col(static_cast<size_t>(c * kernel * lo), -1.0f);
-  kernels::Im2Col1d(x.data(), c, l, kernel, stride, pad, lo, col.data());
-  for (int64_t ch = 0; ch < c; ++ch) {
-    for (int kx = 0; kx < kernel; ++kx) {
-      for (int64_t o = 0; o < lo; ++o) {
-        const int64_t t = o * stride + kx - pad;
-        const float v = col[(ch * kernel + kx) * lo + o];
-        if (t < 0 || t >= l) {
-          ASSERT_EQ(v, 0.0f) << "padding tap not zeroed";
-        } else {
-          ASSERT_EQ(v, 1.0f);
-        }
-      }
-    }
-  }
-}
-
 // ----------------- deterministic multithreaded dispatch ---------------
 //
 // The panel-parallel GEMM path must be BIT-identical to the single-thread
@@ -357,8 +322,8 @@ TEST(ParallelGemmTest, DispatchCountersTrackCrossover) {
   EXPECT_EQ(after.panel_tasks, before.panel_tasks + 4);
 }
 
-// Conv forward/backward bit-identity: the im2col fan-out and the lowered
-// GEMM must both be invisible to the results at any thread count.
+// Conv forward/backward bit-identity: the implicit-GEMM chunk split and the
+// col2im fan-out must both be invisible to the results at any thread count.
 TEST(ParallelGemmTest, ConvForwardBackwardBitIdenticalAcrossThreads) {
   GemmKnobGuard guard;
   Rng rng(4242);
@@ -412,6 +377,288 @@ TEST(ParallelGemmTest, NestedUnderThreadPoolBitIdentical) {
     Tensor got = f.get();
     ExpectTensorsBitIdentical(got, ref);
   }
+}
+
+// ----------------------- implicit-GEMM convolution -------------------------
+//
+// Conv layers hand Gemm a kernels::ConvInput and the packer reads B panels
+// straight from the input. The reference below materializes the lowered
+// matrix and runs the dense Gemm on it, one sample at a time. The implicit
+// path must equal it byte for byte: the panels hold the same bytes and
+// every output element keeps its bias-first, ascending-k FMA chain.
+
+// The lowered matrix col[P, n * out_h * out_w] of `s` (see kernels.h).
+std::vector<float> ReferenceIm2Col(const kernels::ConvInput& s) {
+  const int64_t ho = s.out_h(), wo = s.out_w(), cols = s.cols();
+  std::vector<float> col(static_cast<size_t>(s.rows() * cols));
+  for (int64_t i = 0; i < s.n; ++i) {
+    for (int64_t ch = 0; ch < s.c; ++ch) {
+      for (int ky = 0; ky < s.kernel_h; ++ky) {
+        for (int kx = 0; kx < s.kernel_w; ++kx) {
+          const int64_t p = (ch * s.kernel_h + ky) * s.kernel_w + kx;
+          for (int64_t oy = 0; oy < ho; ++oy) {
+            for (int64_t ox = 0; ox < wo; ++ox) {
+              const int64_t sy = oy * s.stride + ky - s.pad_h;
+              const int64_t sx = ox * s.stride + kx - s.pad_w;
+              const bool inside = sy >= 0 && sy < s.h && sx >= 0 && sx < s.w;
+              col[static_cast<size_t>(p * cols + (i * ho + oy) * wo + ox)] =
+                  inside ? s.x[((i * s.c + ch) * s.h + sy) * s.w + sx] : 0.0f;
+            }
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
+kernels::ConvInput SampleOf(const kernels::ConvInput& s, int64_t i) {
+  kernels::ConvInput one = s;
+  one.x = s.x + i * s.c * s.h * s.w;
+  one.n = 1;
+  return one;
+}
+
+// Per-sample im2col + dense Gemm forward: out[n, F, S] = bias + W * col_i.
+std::vector<float> ReferenceConvForward(const Tensor& w, const Tensor& bias,
+                                        const kernels::ConvInput& s) {
+  const int64_t f = w.dim(0), p = s.rows(), sp = s.out_h() * s.out_w();
+  std::vector<float> out(static_cast<size_t>(s.n * f * sp));
+  for (int64_t i = 0; i < s.n; ++i) {
+    const std::vector<float> col = ReferenceIm2Col(SampleOf(s, i));
+    float* oplane = out.data() + i * f * sp;
+    for (int64_t fo = 0; fo < f; ++fo) {
+      std::fill(oplane + fo * sp, oplane + (fo + 1) * sp, bias[fo]);
+    }
+    kernels::Gemm(f, sp, p, w.data(), p, false, col.data(), sp, false, oplane,
+                  sp);
+  }
+  return out;
+}
+
+// Per-sample dW[F, P] += dY_i[F, S] * col_i^T, accumulated in batch order.
+std::vector<float> ReferenceConvWeightGrad(const Tensor& g,
+                                           const kernels::ConvInput& s) {
+  const int64_t f = g.dim(1), p = s.rows(), sp = s.out_h() * s.out_w();
+  std::vector<float> dw(static_cast<size_t>(f * p), 0.0f);
+  for (int64_t i = 0; i < s.n; ++i) {
+    const std::vector<float> col = ReferenceIm2Col(SampleOf(s, i));
+    kernels::Gemm(f, p, sp, g.data() + i * f * sp, sp, false, col.data(), sp,
+                  true, dw.data(), p);
+  }
+  return dw;
+}
+
+bool BytesEqual(const float* a, const float* b, int64_t count) {
+  return std::memcmp(a, b, static_cast<size_t>(count) * sizeof(float)) == 0;
+}
+
+struct ImplicitCase {
+  const char* what;
+  int64_t n, c, h, w;
+  int kernel_h, kernel_w, stride, pad_h, pad_w;
+};
+
+// 1-D cases have h = 1, kernel_h = 1, pad_h = 0. Output widths are mostly
+// not multiples of kNR = 16, so most panels straddle samples.
+const ImplicitCase kImplicitCases[] = {
+    {"1d vanilla, lo 16", 2, 3, 1, 16, 1, 3, 1, 0, 1},
+    {"1d lo 7, panels straddle 5 samples", 5, 2, 1, 7, 1, 3, 1, 0, 1},
+    {"1d stride 2, odd length", 3, 4, 1, 19, 1, 5, 2, 0, 2},
+    {"1d stride == kernel", 2, 2, 1, 9, 1, 3, 3, 0, 0},
+    {"1d pad > kernel", 2, 3, 1, 7, 1, 3, 1, 0, 4},
+    {"1d 1x1", 4, 5, 1, 33, 1, 1, 1, 0, 0},
+    {"1d bit-flip net shape", 300, 1, 1, 6, 1, 3, 1, 0, 1},
+    {"1d omniscale block-2 shape", 6, 16, 1, 40, 1, 7, 1, 0, 3},
+    {"2d vanilla", 2, 3, 8, 8, 3, 3, 1, 1, 1},
+    {"2d stride 2", 2, 2, 9, 9, 3, 3, 2, 1, 1},
+    {"2d pad == kernel", 1, 3, 6, 6, 3, 3, 1, 3, 3},
+    {"2d non-square input", 3, 1, 5, 7, 3, 3, 1, 1, 1},
+    {"2d 1x1", 3, 2, 6, 5, 1, 1, 1, 0, 0},
+};
+
+kernels::ConvInput InputFor(const ImplicitCase& ic, const Tensor& x) {
+  kernels::ConvInput s;
+  s.x = x.data();
+  s.n = ic.n;
+  s.c = ic.c;
+  s.h = ic.h;
+  s.w = ic.w;
+  s.kernel_h = ic.kernel_h;
+  s.kernel_w = ic.kernel_w;
+  s.stride = ic.stride;
+  s.pad_h = ic.pad_h;
+  s.pad_w = ic.pad_w;
+  return s;
+}
+
+// Both operand forms, with and without a transposed A and a ragged m,
+// against the dense Gemm over the materialized lowered matrix.
+TEST(ImplicitGemmTest, BothFormsMatchMaterializedIm2Col) {
+  for (const ImplicitCase& ic : kImplicitCases) {
+    Rng rng(ic.n * 131 + ic.c * 17 + ic.w);
+    const Tensor x = Tensor::Randn({ic.n, ic.c, ic.h, ic.w}, &rng);
+    const kernels::ConvInput s = InputFor(ic, x);
+    const std::vector<float> col = ReferenceIm2Col(s);
+    const int64_t p = s.rows(), j = s.cols();
+    for (int64_t m : {int64_t{1}, int64_t{7}}) {
+      for (bool trans_a : {false, true}) {
+        // Forward form: C[m, J] += A[m, P] * col.
+        const Tensor a = Tensor::Randn({m, p}, &rng);
+        const Tensor at = Transpose2d(a);
+        const float* pa = trans_a ? at.data() : a.data();
+        const int64_t lda = trans_a ? m : p;
+        const Tensor c0 = Tensor::Randn({m, j}, &rng);
+        Tensor want = c0, got = c0;
+        kernels::Gemm(m, j, p, pa, lda, trans_a, col.data(), j, false,
+                      want.data(), j);
+        kernels::Gemm(m, j, p, pa, lda, trans_a, s, false, got.data(), j);
+        ASSERT_TRUE(BytesEqual(got.data(), want.data(), want.size()))
+            << ic.what << " forward form, m " << m;
+
+        // Transposed form: C[m, P] += G[m, J] * col^T.
+        const Tensor g = Tensor::Randn({m, j}, &rng);
+        const Tensor gt = Transpose2d(g);
+        const float* pg = trans_a ? gt.data() : g.data();
+        const int64_t ldg = trans_a ? m : j;
+        const Tensor d0 = Tensor::Randn({m, p}, &rng);
+        Tensor want_t = d0, got_t = d0;
+        kernels::Gemm(m, p, j, pg, ldg, trans_a, col.data(), j, true,
+                      want_t.data(), p);
+        kernels::Gemm(m, p, j, pg, ldg, trans_a, s, true, got_t.data(), p);
+        ASSERT_TRUE(BytesEqual(got_t.data(), want_t.data(), want_t.size()))
+            << ic.what << " transposed form, m " << m;
+      }
+    }
+  }
+}
+
+// The layers' forward (one GEMM over all samples) and weight gradient
+// (per-sample implicit GEMMs) against the per-sample im2col reference.
+TEST(ImplicitGemmTest, ConvLayersMatchPerSampleIm2Col) {
+  for (const ImplicitCase& ic : kImplicitCases) {
+    Rng rng(ic.n * 7 + ic.c * 3 + ic.w);
+    const bool is_2d = ic.kernel_h > 1 || ic.h > 1;
+    std::unique_ptr<Layer> conv;
+    Tensor x;
+    if (is_2d) {
+      conv = std::make_unique<Conv2d>(ic.c, 5, ic.kernel_w, ic.stride,
+                                      ic.pad_w, &rng);
+      x = Tensor::Randn({ic.n, ic.c, ic.h, ic.w}, &rng);
+    } else {
+      conv = std::make_unique<Conv1d>(ic.c, 5, ic.kernel_w, ic.stride,
+                                      ic.pad_w, &rng);
+      x = Tensor::Randn({ic.n, ic.c, ic.w}, &rng);
+    }
+    // A non-zero bias so the bias-first chain is exercised.
+    Tensor& bias = conv->Params()[1]->value;
+    for (int64_t f = 0; f < bias.size(); ++f) bias[f] = 0.25f * (f + 1);
+    const kernels::ConvInput s = InputFor(ic, x);
+
+    const Tensor y = conv->Forward(x, /*training=*/true);
+    const std::vector<float> want_y =
+        ReferenceConvForward(conv->Params()[0]->value, bias, s);
+    ASSERT_EQ(static_cast<int64_t>(want_y.size()), y.size()) << ic.what;
+    ASSERT_TRUE(BytesEqual(y.data(), want_y.data(), y.size())) << ic.what;
+
+    const Tensor g = Tensor::Randn(y.shape(), &rng);
+    conv->ZeroGrad();
+    (void)conv->Backward(g);
+    const std::vector<float> want_dw = ReferenceConvWeightGrad(g, s);
+    const Tensor& dw = conv->Params()[0]->grad;
+    ASSERT_TRUE(BytesEqual(dw.data(), want_dw.data(), dw.size())) << ic.what;
+  }
+}
+
+// A conv forward big enough to clear the default crossover goes wide at 4
+// threads and still equals the 1-thread run and the reference.
+TEST(ImplicitGemmTest, WideConvForwardBitIdenticalAtOneAndFourThreads) {
+  GemmKnobGuard guard;
+  Rng rng(808);
+  Conv1d conv(64, 64, 3, 1, 1, &rng);
+  const Tensor x = Tensor::Randn({32, 64, 20}, &rng);
+  kernels::ConvInput s;
+  s.x = x.data();
+  s.n = 32;
+  s.c = 64;
+  s.w = 20;
+  s.kernel_w = 3;
+  s.pad_w = 1;
+  ASSERT_GE(64 * s.cols() * s.rows(), kernels::kDefaultGemmParallelMinWork);
+
+  kernels::set_gemm_threads(1);
+  const Tensor ref = conv.Forward(x, false);
+  kernels::set_gemm_threads(4);
+  const kernels::GemmDispatchCounters before =
+      kernels::ThreadGemmDispatchCounters();
+  const Tensor wide = conv.Forward(x, false);
+  const kernels::GemmDispatchCounters after =
+      kernels::ThreadGemmDispatchCounters();
+  EXPECT_EQ(after.wide, before.wide + 1);
+  EXPECT_EQ(after.narrow, before.narrow);
+  ExpectTensorsBitIdentical(wide, ref);
+  const std::vector<float> want = ReferenceConvForward(
+      conv.Params()[0]->value, conv.Params()[1]->value, s);
+  ASSERT_TRUE(BytesEqual(ref.data(), want.data(), ref.size()));
+}
+
+// Lowering round-trip: with kernel == stride == 1 and no padding the
+// lowered matrix is x itself, so an identity A reproduces x through the
+// implicit packer, and col2im folds it back to x.
+TEST(Im2ColTest, IdentityWhenKernelOneStrideOne) {
+  Rng rng(5);
+  Tensor x = Tensor::Randn({1, 3, 11}, &rng);
+  kernels::ConvInput s;
+  s.x = x.data();
+  s.n = 1;
+  s.c = 3;
+  s.w = 11;
+  const std::vector<float> col = ReferenceIm2Col(s);
+  ASSERT_TRUE(BytesEqual(col.data(), x.data(), x.size()));
+  Tensor eye = Tensor::Zeros({3, 3});
+  for (int64_t i = 0; i < 3; ++i) eye[i * 3 + i] = 1.0f;
+  Tensor packed = Tensor::Zeros({3, 11});
+  kernels::Gemm(3, 11, 3, eye.data(), 3, false, s, false, packed.data(), 11);
+  ASSERT_TRUE(BytesEqual(packed.data(), x.data(), x.size()));
+  Tensor back = Tensor::Zeros({3, 11});
+  kernels::Col2Im1d(col.data(), 3, 11, 1, 1, 0, 11, back.data());
+  ASSERT_TRUE(BytesEqual(back.data(), x.data(), x.size()));
+}
+
+TEST(Im2ColTest, PaddingProducesZeroColumns) {
+  const int64_t c = 2, l = 4;
+  const int kernel = 3, stride = 1, pad = 3;  // pad >= kernel
+  Tensor x = Tensor::Full({1, c, l}, 1.0f);
+  kernels::ConvInput s;
+  s.x = x.data();
+  s.n = 1;
+  s.c = c;
+  s.w = l;
+  s.kernel_w = kernel;
+  s.stride = stride;
+  s.pad_w = pad;
+  const int64_t lo = s.out_w();
+  const std::vector<float> col = ReferenceIm2Col(s);
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int kx = 0; kx < kernel; ++kx) {
+      for (int64_t o = 0; o < lo; ++o) {
+        const int64_t t = o * stride + kx - pad;
+        const float v = col[static_cast<size_t>((ch * kernel + kx) * lo + o)];
+        if (t < 0 || t >= l) {
+          ASSERT_EQ(v, 0.0f) << "padding tap not zeroed";
+        } else {
+          ASSERT_EQ(v, 1.0f);
+        }
+      }
+    }
+  }
+  // The implicit packer zeroes the same taps: an identity A reproduces col.
+  const int64_t p = s.rows();
+  Tensor eye = Tensor::Zeros({p, p});
+  for (int64_t i = 0; i < p; ++i) eye[i * p + i] = 1.0f;
+  Tensor packed = Tensor::Zeros({p, lo});
+  kernels::Gemm(p, lo, p, eye.data(), p, false, s, false, packed.data(), lo);
+  ASSERT_TRUE(BytesEqual(packed.data(), col.data(), packed.size()));
 }
 
 // The aligned allocator must put every tensor buffer (and reallocations) on

@@ -427,8 +427,8 @@ TEST(ActivationMemoTest, RecomputeRunsOnlyWhatTheDirtyLeafReaches) {
   };
   uint64_t before = gemm_calls();
   (void)memo.Record(qm.model(), QuantizedOwners(qm), x);
-  // 8 convolutions (one GEMM per row each) and the dense head.
-  EXPECT_EQ(gemm_calls() - before, static_cast<uint64_t>(8 * rows + 1));
+  // 8 convolutions (one GEMM per call, over all rows) and the dense head.
+  EXPECT_EQ(gemm_calls() - before, 9u);
 
   // Tensors are registered in forward order: 4 block-1 branches, 4 block-2
   // branches, then the dense head.
@@ -437,10 +437,9 @@ TEST(ActivationMemoTest, RecomputeRunsOnlyWhatTheDirtyLeafReaches) {
     int tensor;
     uint64_t gemms;
   } kExpected[] = {
-      {8, 1},                                    // dense head only
-      {5, static_cast<uint64_t>(rows + 1)},      // one block-2 branch
-      {0, static_cast<uint64_t>(5 * rows + 1)},  // one block-1 branch,
-                                                 // all of block 2
+      {8, 1},  // dense head only
+      {5, 2},  // one block-2 branch
+      {0, 6},  // one block-1 branch, all of block 2
   };
   for (const auto& e : kExpected) {
     before = gemm_calls();
